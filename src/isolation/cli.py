@@ -20,6 +20,7 @@ from .constructive import (
     isolating_set_n5,
 )
 from .enumerate_verify import (
+    MAX_BUILTIN_ORDER,
     BoundSpec,
     attachment_invariance_suite,
     default_known_exceptions,
@@ -34,6 +35,7 @@ from .graph_core import (
     decode_g6,
     encode_g6,
     mask_of,
+    parse_graph6_lines,
 )
 from .patterns import (
     DIAMOND,
@@ -43,9 +45,6 @@ from .patterns import (
     y_graph,
 )
 from .solver import iota_exact, is_isolating
-
-_G6_HEADER = ">>graph6<<"
-
 
 class _UsageError(ValueError):
     pass
@@ -66,18 +65,14 @@ def _short(value) -> str:
     return str(value)
 
 
-def _iter_graph_lines(path: str):
+def _input_graphs(path: str):
     """Yield (line number, graph) from a graph6 file or stdin ('-')."""
-    stream = sys.stdin if path == "-" else open(path, "r", encoding="ascii")
+    stream = sys.stdin if path == "-" else open(
+        path, encoding="ascii", errors="surrogateescape")
     try:
-        for lineno, raw in enumerate(stream, start=1):
-            s = raw.strip()
-            if not s or s == _G6_HEADER:
-                continue
-            try:
-                yield lineno, decode_g6(s)
-            except Graph6Error as exc:
-                raise _UsageError(f"{path}:{lineno}: {exc}") from exc
+        yield from parse_graph6_lines(stream)
+    except Graph6Error as exc:
+        raise _UsageError(f"{path}:{exc.line}: {exc.args[0]}") from exc
     finally:
         if stream is not sys.stdin:
             stream.close()
@@ -125,7 +120,7 @@ def _family(args):
 
 def _cmd_solve(args) -> int:
     f = _family(args)
-    for _, g in _iter_graph_lines(args.input):
+    for _, g in _input_graphs(args.input):
         res = iota_exact(g, f)
         _emit({"g6": encode_g6(g), "n": g.n, "iota": res.value,
                "witness": sorted(bits(res.witness)), "copies": res.copies_found,
@@ -138,7 +133,7 @@ def _cmd_certify(args) -> int:
     f = _family(args)
     s = _parse_set(args.set)
     failures = 0
-    for lineno, g in _iter_graph_lines(args.input):
+    for lineno, g in _input_graphs(args.input):
         if s & ~g.full_mask:
             raise _UsageError(
                 f"--set names a vertex >= n for the graph on line {lineno}")
@@ -163,8 +158,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if not 1 <= args.n <= 9:
-        raise _UsageError("--n must be between 1 and 9")
+    if not 1 <= args.n <= MAX_BUILTIN_ORDER:
+        raise _UsageError(f"--n must be between 1 and {MAX_BUILTIN_ORDER}")
     for g in enumerate_connected(args.n):
         if args.format == "g6":
             print(encode_g6(g))
@@ -175,12 +170,13 @@ def _cmd_enumerate(args) -> int:
 
 def _graphs_for_bound(args, min_n: int):
     if args.enumerate is not None:
-        if not 1 <= args.enumerate <= 9:
-            raise _UsageError("--enumerate must be between 1 and 9")
+        if not 1 <= args.enumerate <= MAX_BUILTIN_ORDER:
+            raise _UsageError(
+                f"--enumerate must be between 1 and {MAX_BUILTIN_ORDER}")
         for n in range(max(1, min_n), args.enumerate + 1):
             yield from enumerate_connected(n)
     else:
-        for _, g in _iter_graph_lines(args.input):
+        for _, g in _input_graphs(args.input):
             yield g
 
 
@@ -208,7 +204,7 @@ def _cmd_bound(args) -> int:
 
 def _run_n5(args, with_trace: bool) -> int:
     violations = 0
-    for _, g in _iter_graph_lines(args.input):
+    for _, g in _input_graphs(args.input):
         record = {"g6": encode_g6(g), "n": g.n, "budget": budget(g.n)}
         try:
             s, trace = isolating_set_n5(g)

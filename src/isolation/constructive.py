@@ -13,12 +13,15 @@ from a short candidate list (the maximum-degree anchor, its neighbors, and a
 few boundary vertices of exceptional residual components), and a candidate
 is accepted only when the composed set certifies: it must isolate the whole
 graph and meet the floor(n/5) budget.  Every accepted step is recorded in a
-trace.
+trace.  The fallback candidates are required, not a safety margin: the
+connected 14-vertex graph ``M`Mo?CB_o??@?BOB?`` (isolation number
+2 = floor(14/5)) certifies only through a fallback pivot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .graph_core import (
     Graph,
@@ -36,6 +39,7 @@ from .patterns import (
     complete_graph,
     contains_pattern,
     diamond_graph,
+    residual_path_pivot,
     y_graph,
 )
 from .solver import iota_exact, is_isolating
@@ -47,18 +51,6 @@ def budget(n: int) -> int:
     if n < 0:
         raise ValueError("order must be nonnegative")
     return n // 5
-
-
-@dataclass(frozen=True)
-class Budget:
-    """Order together with its floor(n/5) limit."""
-
-    n: int
-    limit: int
-
-    @classmethod
-    def for_order(cls, n: int) -> "Budget":
-        return cls(n, budget(n))
 
 
 class ExceptionalGraphError(ValueError):
@@ -97,12 +89,6 @@ class CaseTrace:
     def pivot_union(self) -> int:
         return mask_of(v for step in self.steps for v in step.pivots)
 
-    def removed_union(self) -> int:
-        out = 0
-        for step in self.steps:
-            out |= step.removed
-        return out
-
     def to_dict(self) -> dict:
         return {
             "steps": [
@@ -128,59 +114,33 @@ class CaseTrace:
         return "\n".join(lines)
 
 
-_SMALL_EXC_KEYS: set[bytes] | None = None
-_Y_KEY: bytes | None = None
+@cache
+def _exceptional_keys() -> dict[bytes, str]:
+    return {canonical_form(diamond_graph()): "small",
+            canonical_form(complete_graph(4)): "small",
+            canonical_form(y_graph()): "y"}
 
 
-def _exceptional_keys() -> tuple[set[bytes], bytes]:
-    global _SMALL_EXC_KEYS, _Y_KEY
-    if _SMALL_EXC_KEYS is None:
-        _SMALL_EXC_KEYS = {canonical_form(diamond_graph()),
-                           canonical_form(complete_graph(4))}
-        _Y_KEY = canonical_form(y_graph())
-    return _SMALL_EXC_KEYS, _Y_KEY
+def _exceptional_kind(g: Graph) -> str | None:
+    """Classify ``g`` up to isomorphism: "small" for the diamond or K4, "y"
+    for Y, None otherwise.  Only graphs with the order and edge count of an
+    exceptional graph reach the canonical form."""
+    if (g.n, g.edge_count()) not in ((4, 5), (4, 6), (9, 18)):
+        return None
+    return _exceptional_keys().get(canonical_form(g))
 
 
 def is_exceptional(g: Graph) -> bool:
     """True iff ``g`` is isomorphic to the diamond, K4 or Y."""
-    small, ykey = _exceptional_keys()
-    m = g.edge_count()
-    if g.n == 4 and m in (5, 6):
-        return canonical_form(g) in small
-    if g.n == 9 and m == 18:
-        return canonical_form(g) == ykey
-    return False
+    return _exceptional_kind(g) is not None
 
 
-def _is_small_exceptional(g: Graph) -> bool:
-    small, _ = _exceptional_keys()
-    return g.n == 4 and g.edge_count() in (5, 6) and canonical_form(g) in small
-
-
-def _is_y(g: Graph) -> bool:
-    _, ykey = _exceptional_keys()
-    return g.n == 9 and g.edge_count() == 18 and canonical_form(g) == ykey
-
-
-def _residual_path_pivot(g: Graph, x: int) -> int | None:
-    """Least vertex v such that removing x and N[v] leaves exactly a 3-path;
-    used to pick a single isolating, budget-friendly pivot inside a Y-shaped
-    component with boundary vertex x."""
-    for v in range(g.n):
-        if v == x:
-            continue
-        keep = g.full_mask & ~(1 << x) & ~(1 << v) & ~g.adj[v]
-        sub, _ = induced_subgraph(g, keep)
-        if sub.n == 3 and sub.edge_count() == 2 and is_connected(sub):
-            return v
-    return None
-
-
-def _pivot_candidates(g: Graph) -> list[tuple[int, str]]:
-    """Ordered pivot candidates: the anchor (a maximum-degree vertex, or for
+def _pivot_candidates(g: Graph):
+    """Pivot candidates in order: the anchor (a maximum-degree vertex, or for
     cubic graphs a degree-3 vertex whose closed neighborhood induces a
-    diamond), its neighbors, then a bounded set of boundary vertices around
-    exceptional residual components.  At most Delta(g) + 8 candidates."""
+    diamond), its neighbors, then at most 7 fallback vertices around
+    exceptional residual components.  The fallbacks are only worked out
+    once the anchor and all its neighbors have been tried."""
     degs = [g.degree(v) for v in range(g.n)]
     delta = max(degs)
     anchor = -1
@@ -196,11 +156,9 @@ def _pivot_candidates(g: Graph) -> list[tuple[int, str]]:
     if anchor < 0:
         anchor = degs.index(delta)
 
-    out: list[tuple[int, str]] = [(anchor, "anchor")]
-    seen = {anchor}
+    yield anchor, "anchor"
     for u in bits(g.adj[anchor]):
-        out.append((u, "neighbor"))
-        seen.add(u)
+        yield u, "neighbor"
 
     extras: list[int] = []
     region = closed_neighborhood(g, 1 << anchor)
@@ -211,7 +169,8 @@ def _pivot_candidates(g: Graph) -> list[tuple[int, str]]:
         for comp in components(rest_graph):
             sub, sublocal = induced_subgraph(rest_graph, comp)
             orig = tuple(rest_old[v] for v in sublocal)
-            if _is_small_exceptional(sub):
+            kind = _exceptional_kind(sub)
+            if kind == "small":
                 rank = 0 if sub.edge_count() == 6 else 2
                 if rank == 2:
                     # diamond component: degree-3 vertex on the boundary first
@@ -219,7 +178,7 @@ def _pivot_candidates(g: Graph) -> list[tuple[int, str]]:
                         sub.degree(i) == 3 and g.adj[orig[i]] & region
                         for i in range(sub.n))
                     rank = 2 if deg3_boundary else 3
-            elif _is_y(sub):
+            elif kind == "y":
                 rank = 1
             else:
                 continue
@@ -232,7 +191,7 @@ def _pivot_candidates(g: Graph) -> list[tuple[int, str]]:
             extras.append(orig[x])
             extras.extend(orig[i] for i in bits(sub.adj[x]))
             if rank == 1:
-                v = _residual_path_pivot(sub, x)
+                v = residual_path_pivot(sub, x)
                 if v is not None:
                     extras.append(orig[v])
         # a distance-2 vertex from the anchor and one of its outside neighbors
@@ -244,16 +203,9 @@ def _pivot_candidates(g: Graph) -> list[tuple[int, str]]:
                     extras.append((outside & -outside).bit_length() - 1)
                 break
 
-    added = 0
-    for v in extras:
-        if v in seen:
-            continue
-        out.append((v, "fallback"))
-        seen.add(v)
-        added += 1
-        if added == 7:
-            break
-    return out
+    fresh = [v for v in dict.fromkeys(extras) if not region >> v & 1]
+    for v in fresh[:7]:
+        yield v, "fallback"
 
 
 def _solve(g: Graph, labels: tuple[int, ...], depth: int
@@ -273,11 +225,12 @@ def _solve(g: Graph, labels: tuple[int, ...], depth: int
     if not contains_pattern(g, DIAMOND):
         return 0, [TraceStep("diamond-free", depth, (), to_orig(full), ())]
 
-    if _is_small_exceptional(g):
+    kind = _exceptional_kind(g)
+    if kind == "small":
         pivot = labels[0]
         return 1 << pivot, [TraceStep("exceptional-component", depth,
                                       (pivot,), to_orig(full), ())]
-    if _is_y(g):
+    if kind == "y":
         res = iota_exact(g, DIAMOND)
         pivots = to_orig(res.witness)
         return pivots, [TraceStep("exceptional-component", depth,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import Pool
 
 from .graph_core import (
@@ -30,7 +31,6 @@ from .patterns import (
     K2,
     P3,
     PatternFamily,
-    clique,
     complete_graph,
     cycle_graph,
     diamond_graph,
@@ -52,19 +52,23 @@ def _augment(parent: tuple[int, ...], attach: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def _augmented(parents, n: int):
+    """Distinct graphs on ``n`` vertices, by canonical form, from joining a
+    new vertex to every nonempty subset of each parent's vertices."""
+    seen: set[bytes] = set()
+    for parent in parents:
+        for attach in range(1, 1 << (n - 1)):
+            g = Graph(n, _augment(parent, attach))
+            key = canonical_form(g)
+            if key not in seen:
+                seen.add(key)
+                yield g
+
+
 def _ensure_level(n: int) -> None:
     while len(_levels) < n:
-        k = len(_levels) + 1
-        seen: set[bytes] = set()
-        out: list[tuple[int, ...]] = []
-        for parent in _levels[-1]:
-            for attach in range(1, 1 << (k - 1)):
-                rows = _augment(parent, attach)
-                key = canonical_form(Graph(k, rows))
-                if key not in seen:
-                    seen.add(key)
-                    out.append(rows)
-        _levels.append(out)
+        level = _augmented(_levels[-1], len(_levels) + 1)
+        _levels.append([g.adj for g in level])
 
 
 def enumerate_connected(n: int):
@@ -82,15 +86,7 @@ def enumerate_connected(n: int):
             yield Graph(n, rows)
         return
     _ensure_level(_CACHED_LEVELS)
-    seen: set[bytes] = set()
-    for parent in _levels[_CACHED_LEVELS - 1]:
-        for attach in range(1, 1 << (n - 1)):
-            rows = _augment(parent, attach)
-            g = Graph(n, rows)
-            key = canonical_form(g)
-            if key not in seen:
-                seen.add(key)
-                yield g
+    yield from _augmented(_levels[_CACHED_LEVELS - 1], n)
 
 
 # --- bound sweeps ----------------------------------------------------------
@@ -165,30 +161,23 @@ class BoundReport:
         }
 
 
-_WORKER_FAMILY: PatternFamily | None = None
-
-
-def _pool_init(family: PatternFamily) -> None:
-    global _WORKER_FAMILY
-    _WORKER_FAMILY = family
-
-
-def _pool_solve(g: Graph) -> int:
-    return iota_exact(g, _WORKER_FAMILY).value
+def _iota_value(family: PatternFamily, g: Graph) -> int:
+    return iota_exact(g, family).value
 
 
 def _solved_stream(graphs, family: PatternFamily, workers: int, block: int = 2048):
+    solve = partial(_iota_value, family)
     if workers <= 1:
         for g in graphs:
-            yield g, iota_exact(g, family).value
+            yield g, solve(g)
         return
     # bounded batches keep memory flat on large streams while preserving the
     # input order of results
-    with Pool(workers, initializer=_pool_init, initargs=(family,)) as pool:
+    with Pool(workers) as pool:
         batch: list[Graph] = []
 
         def flush():
-            values = pool.map(_pool_solve, batch, chunksize=64)
+            values = pool.map(solve, batch, chunksize=64)
             yield from zip(batch, values)
 
         for g in graphs:
@@ -278,28 +267,6 @@ def default_known_exceptions(family: PatternFamily, numerator: int,
                 canonical_form(complete_graph(3)),
                 canonical_form(cycle_graph(6)))
     return ()
-
-
-# --- extremal search -------------------------------------------------------
-
-
-def find_extremal(n: int, family: PatternFamily = DIAMOND,
-                  ratio: tuple[int, int] = (1, 5), graphs=None) -> list[Graph]:
-    """Connected graphs of order ``n`` whose isolation number attains p*n/q
-    exactly (so for the default 1/5 ratio only orders divisible by 5 qualify).
-
-    Without an explicit population this sweeps the built-in census (n <= 9).
-    """
-    p, q = ratio
-    if graphs is None:
-        graphs = enumerate_connected(n)
-    out = []
-    for g in graphs:
-        if g.n != n or not is_connected(g):
-            continue
-        if q * iota_exact(g, family).value == p * n:
-            out.append(g)
-    return out
 
 
 # --- attachment invariance (property suite) --------------------------------

@@ -18,11 +18,19 @@ _G6_HEADER = ">>graph6<<"
 
 
 class Graph6Error(ValueError):
-    """Malformed graph6 text; ``offset`` is the byte position of the defect."""
+    """Malformed graph6 text; ``offset`` is the byte position of the defect
+    within its line, and ``line`` the line number when the text was read by
+    :func:`parse_graph6_lines`."""
+
+    line: int | None = None
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
+
+    def __str__(self) -> str:
+        text = self.args[0]
+        return text if self.line is None else f"line {self.line}: {text}"
 
 
 def bits(mask: int):
@@ -99,22 +107,6 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
 
-@dataclass(frozen=True)
-class DegreeSummary:
-    """Max degree, min degree and the per-vertex degree sequence."""
-
-    delta_max: int
-    delta_min: int
-    degrees: tuple[int, ...]
-
-
-def degree_summary(g: Graph) -> DegreeSummary:
-    degs = tuple(row.bit_count() for row in g.adj)
-    if not degs:
-        return DegreeSummary(0, 0, ())
-    return DegreeSummary(max(degs), min(degs), degs)
-
-
 def _check_vertex_set(g: Graph, s: int) -> None:
     if s < 0 or s & ~g.full_mask:
         raise ValueError("vertex set contains a bit index >= n")
@@ -180,15 +172,6 @@ def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
     return _component_of(g.adj, 0, g.full_mask) == g.full_mask
-
-
-def e_between(g: Graph, a: int, b: int) -> int:
-    """Number of edges with one end in ``a`` and the other in ``b``."""
-    _check_vertex_set(g, a)
-    _check_vertex_set(g, b)
-    if a & b:
-        raise ValueError("vertex sets overlap")
-    return sum((g.adj[v] & b).bit_count() for v in bits(a))
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -305,12 +288,11 @@ def _g6_col(pos: int) -> int:
     return c
 
 
-def parse_graph6_lines(lines, skip_errors: bool = False):
+def parse_graph6_lines(lines):
     """Yield ``(line_number, Graph)`` from an iterable of graph6 lines.
 
-    Blank lines and a standalone header line are skipped.  With
-    ``skip_errors`` malformed lines yield ``(line_number, Graph6Error)``
-    instead of raising.
+    Blank lines and a standalone header line are skipped.  A malformed line
+    raises :class:`Graph6Error` with its ``line`` set.
     """
     for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
@@ -319,10 +301,8 @@ def parse_graph6_lines(lines, skip_errors: bool = False):
         try:
             yield lineno, decode_g6(stripped)
         except Graph6Error as exc:
-            if skip_errors:
-                yield lineno, exc
-            else:
-                raise Graph6Error(f"line {lineno}: {exc}", exc.offset) from exc
+            exc.line = lineno
+            raise
 
 
 # --- canonical form -------------------------------------------------------

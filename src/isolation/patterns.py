@@ -19,7 +19,6 @@ from .graph_core import (
     canonical_form,
     components,
     decode_g6,
-    degree_summary,
     induced_subgraph,
     is_connected,
     mask_of,
@@ -411,8 +410,17 @@ class YPropertyReport:
                 and self.residual_path_for_every_vertex)
 
 
-def _is_path3(g: Graph) -> bool:
-    return g.n == 3 and g.edge_count() == 2 and is_connected(g)
+def residual_path_pivot(g: Graph, u: int) -> int | None:
+    """Least vertex v other than u such that deleting u and N[v] leaves
+    exactly a 3-vertex path, or None if there is no such vertex."""
+    for v in range(g.n):
+        if v == u:
+            continue
+        keep = g.full_mask & ~(1 << u) & ~(1 << v) & ~g.adj[v]
+        sub, _ = induced_subgraph(g, keep)
+        if sub.n == 3 and sub.edge_count() == 2 and is_connected(sub):
+            return v
+    return None
 
 
 def verify_y_properties(g: Graph) -> YPropertyReport:
@@ -420,24 +428,11 @@ def verify_y_properties(g: Graph) -> YPropertyReport:
     4-regularity, every vertex pair sharing at most 2 neighbors, and for each
     vertex u some v whose closed neighborhood plus u leaves exactly a 3-path.
     """
-    summary = degree_summary(g)
     conn4 = g.n >= 2 and is_connected(g) and vertex_connectivity(g) == 4
-    regular4 = g.n > 0 and summary.delta_max == summary.delta_min == 4
+    regular4 = {row.bit_count() for row in g.adj} == {4}
     common_ok = all(
         (g.adj[u] & g.adj[v]).bit_count() <= 2
         for u, v in combinations(range(g.n), 2))
-    residual_ok = g.n > 0
-    for u in range(g.n):
-        witnessed = False
-        for v in range(g.n):
-            if v == u:
-                continue
-            keep = g.full_mask & ~(1 << u) & ~(1 << v) & ~g.adj[v]
-            sub, _ = induced_subgraph(g, keep)
-            if _is_path3(sub):
-                witnessed = True
-                break
-        if not witnessed:
-            residual_ok = False
-            break
+    residual_ok = g.n > 0 and all(
+        residual_path_pivot(g, u) is not None for u in range(g.n))
     return YPropertyReport(conn4, regular4, common_ok, residual_ok)

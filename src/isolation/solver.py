@@ -24,6 +24,7 @@ from .graph_core import (
     mask_of,
 )
 from .patterns import (
+    ANY_CYCLE,
     ANY_CYCLE_KIND,
     K1,
     PatternFamily,
@@ -44,24 +45,6 @@ class SolveResult:
     elapsed: float
 
 
-@dataclass(frozen=True)
-class HittingInstance:
-    """The reduction target: one closure set per pattern copy, over a universe
-    of ``n`` vertices.  A set S isolates copy i exactly when S meets
-    ``sets[i]``, so minimum isolation equals minimum hitting set."""
-
-    universe: int
-    sets: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(s == 0 for s in self.sets):
-            raise ValueError("closure sets are never empty")
-
-    @classmethod
-    def from_graph(cls, g: Graph, f: PatternFamily) -> "HittingInstance":
-        return cls(g.n, tuple(copy_closures(g, f)))
-
-
 def is_isolating(g: Graph, f: PatternFamily, s: int) -> bool:
     """True iff deleting N[s] leaves a graph free of the family ``f``."""
     residual, _ = delete_closed_neighborhood(g, s)
@@ -77,19 +60,7 @@ def copy_closures(g: Graph, f: PatternFamily) -> list[int]:
 def greedy_isolating(g: Graph, f: PatternFamily) -> int:
     """Valid isolating set built by repeatedly taking the vertex that hits the
     most still-uncovered copy closures (ties to the least index)."""
-    uncovered = copy_closures(g, f)
-    chosen = 0
-    while uncovered:
-        best_v = -1
-        best_hits = 0
-        for v in range(g.n):
-            hits = sum(1 for s in uncovered if s >> v & 1)
-            if hits > best_hits:
-                best_hits = hits
-                best_v = v
-        chosen |= 1 << best_v
-        uncovered = [s for s in uncovered if not s >> best_v & 1]
-    return chosen
+    return _greedy_hitting(copy_closures(g, f), g.n)
 
 
 def _minimal_sets(sets: list[int]) -> list[int]:
@@ -168,11 +139,6 @@ def _solve_hitting(sets: list[int], n: int) -> tuple[int, int, int]:
     return best_size, best, nodes
 
 
-def _residual_is_forest(g: Graph, s: int) -> bool:
-    residual, _ = delete_closed_neighborhood(g, s)
-    return residual.edge_count() == residual.n - len(components(residual))
-
-
 def _solve_any_cycle(g: Graph) -> tuple[int, int, int]:
     """Iterative deepening over candidate sets with a forest check on the
     residual; exact but exponential, meant for small orders."""
@@ -181,7 +147,7 @@ def _solve_any_cycle(g: Graph) -> tuple[int, int, int]:
         for combo in combinations(range(g.n), k):
             nodes += 1
             s = mask_of(combo)
-            if _residual_is_forest(g, s):
+            if is_isolating(g, ANY_CYCLE, s):
                 return k, s, nodes
     raise AssertionError("deleting every closed neighborhood leaves a forest")
 
@@ -202,9 +168,9 @@ def iota_exact(g: Graph, f: PatternFamily) -> SolveResult:
         if f.kind == ANY_CYCLE_KIND:
             size, local, explored = _solve_any_cycle(sub)
         else:
-            instance = HittingInstance.from_graph(sub, f)
-            copies += len(instance.sets)
-            size, local, explored = _solve_hitting(list(instance.sets), sub.n)
+            sets = copy_closures(sub, f)
+            copies += len(sets)
+            size, local, explored = _solve_hitting(sets, sub.n)
         value += size
         nodes += explored
         witness |= mask_of(old[v] for v in bits(local))
@@ -215,10 +181,3 @@ def gamma(g: Graph) -> int:
     """Domination number: the isolation number for the single-vertex family."""
     return iota_exact(g, K1).value
 
-
-def iota_upper_partition(g: Graph, f: PatternFamily, a: int) -> int:
-    """Upper bound on the isolation number from a vertex partition: isolate
-    within ``a`` exactly and dominate the complement."""
-    sub_a, _ = induced_subgraph(g, a)
-    sub_b, _ = induced_subgraph(g, g.full_mask & ~a)
-    return iota_exact(sub_a, f).value + gamma(sub_b)

@@ -57,7 +57,17 @@ def test_solve_reads_file(capsys, tmp_path):
 def test_solve_malformed_line_names_position(capsys, monkeypatch):
     code, _, err = run(capsys, ["solve"], stdin="C~\nC!\n",
                        monkeypatch=monkeypatch)
-    assert code == 2 and ":2:" in err
+    assert code == 2
+    assert err == "error: -:2: invalid graph6 character '!' (byte offset 1)\n"
+
+
+def test_solve_non_ascii_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "graphs.g6"
+    path.write_bytes(b"C~\nC\xff\n")
+    code, out, err = run(capsys, ["solve", "--input", str(path)])
+    assert code == 2 and len(json_lines(out)) == 1
+    assert err.startswith(f"error: {path}:2: invalid graph6 character ")
+    assert err.endswith("(byte offset 1)\n")
 
 
 def test_certify_valid_and_invalid_sets(capsys, monkeypatch):

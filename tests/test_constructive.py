@@ -4,12 +4,12 @@ import pytest
 
 from isolation import (
     DIAMOND,
-    Budget,
     DisconnectedGraphError,
     ExceptionalGraphError,
     Graph,
     bits,
     book_graph,
+    decode_g6,
     budget,
     complete_graph,
     contains_pattern,
@@ -82,7 +82,6 @@ def random_cubic(rng, n):
                                         (10, 2), (14, 2), (15, 3)])
 def test_budget_values(n, expected):
     assert budget(n) == expected
-    assert Budget.for_order(n).limit == expected
 
 
 def test_budget_rejects_negative():
@@ -228,9 +227,17 @@ def test_candidate_list_is_bounded():
     for _ in range(50):
         g = random_connected_graph(rng, rng.randrange(10, 30))
         delta = max(g.adj[v].bit_count() for v in range(g.n))
-        cands = _pivot_candidates(g)
+        cands = list(_pivot_candidates(g))
         assert len(cands) <= delta + 8
         assert len({v for v, _ in cands}) == len(cands)
+
+
+def test_fallback_pivot_is_needed():
+    # the anchor and all its neighbors fail the budget on this graph; only a
+    # fallback candidate certifies 2 = floor(14/5)
+    s, trace = certified(decode_g6("M`Mo?CB_o??@?BOB?"))
+    assert s.bit_count() == 2
+    assert any(step.case == "cut:fallback" for step in trace.steps)
 
 
 def test_deep_recursion_strictly_shrinks():

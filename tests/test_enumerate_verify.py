@@ -18,7 +18,6 @@ from isolation import (
     encode_g6,
     enumerate_connected,
     extremal_witness_15,
-    find_extremal,
     is_connected,
     path_graph,
     random_connected_graph,
@@ -187,17 +186,20 @@ def test_default_known_exceptions_tables():
 
 def test_find_extremal_order_five_is_diamond_containing(census):
     expected = {encode_g6(g) for g in census[5] if contains_pattern(g, DIAMOND)}
-    got = {encode_g6(g) for g in find_extremal(5)}
+    report = verify_bound(census[5], BoundSpec(DIAMOND, 1, 5))
+    got = {f.g6 for f in report.extremal}
     assert got == expected and expected
 
 
 def test_find_extremal_accepts_external_population():
-    assert find_extremal(15, graphs=[extremal_witness_15()]) == [extremal_witness_15()]
-    assert find_extremal(5, graphs=[cycle_graph(5)]) == []
+    spec = BoundSpec(DIAMOND, 1, 5)
+    h15 = extremal_witness_15()
+    assert [f.g6 for f in verify_bound([h15], spec).extremal] == [encode_g6(h15)]
+    assert verify_bound([cycle_graph(5)], spec).extremal == []
 
 
 def test_find_extremal_nondivisible_order_is_empty(census):
-    assert find_extremal(4, graphs=census[4]) == []
+    assert verify_bound(census[4], BoundSpec(DIAMOND, 1, 5)).extremal == []
 
 
 # --- attachment invariance -----------------------------------------------------------

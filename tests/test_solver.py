@@ -17,7 +17,6 @@ from isolation import (
     gamma,
     greedy_isolating,
     iota_exact,
-    iota_upper_partition,
     is_isolating,
     path_graph,
     random_connected_graph,
@@ -124,27 +123,6 @@ def test_gamma_equals_k1_isolation_on_random_graphs():
         assert gamma(g) == naive_iota(g, K1)
 
 
-# --- partition upper bound ----------------------------------------------------
-
-def test_partition_bound_full_side_is_exact():
-    g = y_graph()
-    assert iota_upper_partition(g, DIAMOND, g.full_mask) == 2
-
-
-def test_partition_bound_empty_side_is_domination():
-    g = cycle_graph(6)
-    assert iota_upper_partition(g, DIAMOND, 0) == gamma(g)
-
-
-def test_partition_bound_dominates_exact_value():
-    rng = random.Random(23)
-    for _ in range(80):
-        n = rng.randrange(1, 11)
-        g = random_connected_graph(rng, n)
-        a = rng.randrange(1 << n)
-        assert iota_upper_partition(g, DIAMOND, a) >= iota_exact(g, DIAMOND).value
-
-
 # --- any-cycle family ---------------------------------------------------------
 
 def test_any_cycle_values():
@@ -200,14 +178,10 @@ def test_hitting_reduction_matches_residual_definition():
 
 
 def test_hitting_instance_sets_are_nonempty_closures():
-    from isolation import HittingInstance
-
     g = y_graph()
-    inst = HittingInstance.from_graph(g, DIAMOND)
-    assert inst.universe == 9
-    assert inst.sets and all(s for s in inst.sets)
-    with pytest.raises(ValueError):
-        HittingInstance(3, (0b101, 0))
+    closures = copy_closures(g, DIAMOND)
+    assert closures and all(c and not c & ~g.full_mask for c in closures)
+    assert iota_exact(g, DIAMOND).copies_found == len(closures)
 
 
 def test_minimality_certified_against_oracle_sample(census):

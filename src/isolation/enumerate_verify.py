@@ -1,11 +1,17 @@
 """Census enumeration of small connected graphs, bound sweeps over graph
 populations, extremal search, and the attachment-invariance property suite.
 
-Enumeration generates one representative per isomorphism class by vertex
-augmentation: every connected graph on n vertices arises from a connected
-graph on n-1 vertices (delete a non-cut vertex) plus a new vertex joined to a
-nonempty attachment set, so augmenting all parents with all nonempty subsets
-and deduplicating by canonical form is exhaustive.
+Enumeration generates one representative per isomorphism class by canonical
+augmentation (B. D. McKay, Isomorph-free exhaustive generation, J.
+Algorithms 26, 1998).  Every connected graph on n vertices is a connected
+graph on n-1 vertices (delete a non-cut vertex) plus a new vertex x joined to
+a nonempty attachment set.  The canonical deletion is a non-cut vertex of
+maximal refined color (degree first).  A parent is augmented with one
+attachment set per orbit of its automorphism group, and a child is kept only
+if x is the canonical deletion: at once when x is the only non-cut vertex of
+its color, through a per-level set of canonical forms when it ties with
+others.  Each class is then reached from exactly one parent and one orbit,
+so no global set of seen graphs is kept.
 """
 
 from __future__ import annotations
@@ -18,6 +24,9 @@ from multiprocessing import Pool
 
 from .graph_core import (
     Graph,
+    _components_within,
+    _refined_colors,
+    automorphisms,
     canonical_form,
     decode_g6,
     encode_g6,
@@ -42,51 +51,96 @@ from .solver import iota_exact
 MAX_BUILTIN_ORDER = 9
 _CACHED_LEVELS = 8  # orders above this are streamed, not cached
 
-_levels: list[list[tuple[int, ...]]] = [[(0,)]]
+# adjacency rows of each cached order, as bytes: a row of order <= 8 fits in
+# one byte, which takes a third of the memory of a tuple
+_levels: list[list[bytes]] = [[bytes(1)]]
 
 
-def _augment(parent: tuple[int, ...], attach: int) -> tuple[int, ...]:
-    k = len(parent)
-    rows = [row | ((attach >> v & 1) << k) for v, row in enumerate(parent)]
-    rows.append(attach)
-    return tuple(rows)
+def _orbit_least_masks(k: int, group) -> list[int]:
+    """Nonempty vertex masks over ``0..k-1`` that are the least in their orbit
+    under ``group`` (a list of permutations closed under composition)."""
+    masks = list(range(1, 1 << k))
+    for sigma in group[1:]:  # group[0] is the identity
+        image = [0]
+        for v in range(k):
+            bit = 1 << sigma[v]
+            image += [m | bit for m in image]
+        masks = [m for m in masks if image[m] >= m]
+    return masks
 
 
-def _augmented(parents, n: int):
-    """Distinct graphs on ``n`` vertices, by canonical form, from joining a
-    new vertex to every nonempty subset of each parent's vertices."""
-    seen: set[bytes] = set()
+def _level(parents):
+    """Rows of the accepted children of every parent: the new vertex joined
+    to the least attachment set of each Aut(parent) orbit, kept if it is the
+    canonical deletion.  Ties are settled across the whole level."""
+    tie_keys: set[bytes] = set()
     for parent in parents:
-        for attach in range(1, 1 << (n - 1)):
-            g = Graph(n, _augment(parent, attach))
-            key = canonical_form(g)
-            if key not in seen:
-                seen.add(key)
-                yield g
+        k = len(parent)
+        # v is a cut vertex of a child iff some component of parent - v
+        # misses the attachment set
+        splits = [_components_within(parent, ((1 << k) - 1) ^ (1 << v))
+                  for v in range(k)]
+        group = automorphisms(Graph(k, tuple(parent)))
+        for attach in _orbit_least_masks(k, group):
+            rows = [row | (attach >> v & 1) << k for v, row in enumerate(parent)]
+            rows.append(attach)
+            if _is_canonical_deletion(rows, splits, tie_keys):
+                yield tuple(rows)
+
+
+def _is_canonical_deletion(rows: list[int], splits, tie_keys: set[bytes]) -> bool:
+    """Whether the last vertex x of a child has maximal refined color among
+    its non-cut vertices, and, when other non-cut vertices share that color,
+    whether the child's canonical form is new to ``tie_keys``."""
+    x = len(rows) - 1
+    degree = rows[x].bit_count()
+    rivals = []  # the other non-cut vertices of x's degree
+    for v in range(x):
+        dv = rows[v].bit_count()
+        if dv >= degree and all(comp & rows[x] for comp in splits[v]):
+            if dv > degree:  # refined colors order vertices by degree first
+                return False
+            rivals.append(v)
+    if not rivals:
+        return True
+    colors = _refined_colors(len(rows), rows)
+    if any(colors[v] > colors[x] for v in rivals):
+        return False
+    if all(colors[v] < colors[x] for v in rivals):
+        return True
+    key = canonical_form(Graph(len(rows), tuple(rows)))
+    if key in tie_keys:
+        return False
+    tie_keys.add(key)
+    return True
 
 
 def _ensure_level(n: int) -> None:
     while len(_levels) < n:
-        level = _augmented(_levels[-1], len(_levels) + 1)
-        _levels.append([g.adj for g in level])
+        _levels.append([bytes(rows) for rows in _level(_levels[-1])])
 
 
 def enumerate_connected(n: int):
     """Yield one representative per isomorphism class of connected graphs on
     ``n`` vertices, in a deterministic order.
 
-    Orders up to 8 are cached after the first call; ``n = 9`` streams its
-    roughly 261k classes and takes appreciably longer.
+    Each class is generated once by canonical augmentation (McKay, J.
+    Algorithms 26, 1998) from the order ``n - 1`` census: a class is reached
+    from the parent left by deleting its canonical non-cut vertex, through
+    one attachment set per parent automorphism orbit.  Orders up to 8 are
+    cached after the first call; ``n = 9`` streams its 261,080 classes in
+    about 40 s on a 2-core VM.
     """
     if not 1 <= n <= MAX_BUILTIN_ORDER:
         raise ValueError(f"built-in enumeration covers 1..{MAX_BUILTIN_ORDER}")
     if n <= _CACHED_LEVELS:
         _ensure_level(n)
-        for rows in _levels[n - 1]:
-            yield Graph(n, rows)
-        return
-    _ensure_level(_CACHED_LEVELS)
-    yield from _augmented(_levels[_CACHED_LEVELS - 1], n)
+        rows_of_level = _levels[n - 1]
+    else:
+        _ensure_level(_CACHED_LEVELS)
+        rows_of_level = _level(_levels[_CACHED_LEVELS - 1])
+    for rows in rows_of_level:
+        yield Graph(n, tuple(rows))
 
 
 # --- bound sweeps ----------------------------------------------------------

@@ -158,11 +158,14 @@ def _component_of(adj, start: int, within: int) -> int:
 
 def components(g: Graph) -> list[int]:
     """Vertex masks of the connected components, ordered by least vertex."""
+    return _components_within(g.adj, g.full_mask)
+
+
+def _components_within(adj, remaining: int) -> list[int]:
     out = []
-    remaining = g.full_mask
     while remaining:
         start = (remaining & -remaining).bit_length() - 1
-        comp = _component_of(g.adj, start, remaining)
+        comp = _component_of(adj, start, remaining)
         out.append(comp)
         remaining &= ~comp
     return out
@@ -205,25 +208,36 @@ def vertex_connectivity(g: Graph) -> int:
 
 
 def encode_g6(g: Graph) -> str:
-    n = g.n
+    adj = g.adj
+    cols = [0] * g.n
+    for col in range(1, g.n):
+        c = 0
+        for row in range(col):
+            c = c << 1 | (adj[row] >> col & 1)
+        cols[col] = c
+    return _pack_g6(g.n, cols)
+
+
+def _pack_g6(n: int, cols) -> str:
+    """graph6 text of an ``n``-vertex graph given its column codes: ``cols[i]``
+    holds the bits x(0,i) .. x(i-1,i), x(0,i) highest."""
     if n <= 62:
         head = chr(63 + n)
     else:
         head = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
-    buf = []
+    out = bytearray()
     acc = 0
     nbits = 0
-    for col in range(1, n):
-        for row in range(col):
-            acc = acc << 1 | (g.adj[row] >> col & 1)
-            nbits += 1
-            if nbits == 6:
-                buf.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
+    for i in range(1, n):
+        acc = acc << i | cols[i]
+        nbits += i
+        while nbits >= 6:
+            nbits -= 6
+            out.append(63 + (acc >> nbits & 63))
+        acc &= (1 << nbits) - 1
     if nbits:
-        buf.append(chr(63 + (acc << (6 - nbits))))
-    return head + "".join(buf)
+        out.append(63 + (acc << (6 - nbits)))
+    return head + out.decode("ascii")
 
 
 def decode_g6(text: str) -> Graph:
@@ -311,13 +325,12 @@ def parse_graph6_lines(lines):
 def _refined_colors(n: int, adj) -> list[int]:
     # iterated degree refinement; color ids are isomorphism-invariant because
     # they are ranks of the (color, sorted neighbor colors) signatures
-    colors = [adj[v].bit_count() for v in range(n)]
+    nbrs = [tuple(bits(adj[v])) for v in range(n)]
+    colors = [len(nb) for nb in nbrs]
     classes = len(set(colors))
     while True:
-        raws = []
-        for v in range(n):
-            nb = sorted(colors[u] for u in bits(adj[v]))
-            raws.append((colors[v], tuple(nb)))
+        raws = [(colors[v], tuple(sorted([colors[u] for u in nb])))
+                for v, nb in enumerate(nbrs)]
         rank = {r: i for i, r in enumerate(sorted(set(raws)))}
         new = [rank[r] for r in raws]
         if len(rank) == classes:
@@ -325,17 +338,18 @@ def _refined_colors(n: int, adj) -> list[int]:
         colors, classes = new, len(rank)
 
 
-def canonical_labeling(g: Graph) -> tuple[int, ...]:
-    """Permutation ``perm[position] = vertex`` of a canonical relabeling.
+def _canonical_search(n: int, adj, every: bool = False):
+    """Column codes of the canonical relabeling, and the labelings attaining
+    them: every one if ``every``, else only the last one the search meets.
 
     Minimizes the graph6 bit string over all relabelings that respect the
     refined color classes; the restriction is isomorphism-invariant, so equal
-    canonical forms still characterize isomorphism exactly.
+    codes still characterize isomorphism exactly.  ``cols[i]`` packs the
+    adjacency of position ``i`` to positions ``0..i-1``, position 0 in the
+    high bit, which is graph6 column ``i``.  The search prunes only on a
+    strictly larger prefix, so the minimal labelings are exactly one
+    canonical labeling composed with each automorphism.
     """
-    n = g.n
-    if n == 0:
-        return ()
-    adj = g.adj
     colors = _refined_colors(n, adj)
     target = sorted(colors)
     by_color: dict[int, list[int]] = {}
@@ -343,16 +357,18 @@ def canonical_labeling(g: Graph) -> tuple[int, ...]:
         by_color.setdefault(colors[v], []).append(v)
 
     best_cols: list[int] | None = None
-    best_perm: list[int] | None = None
+    leaves: list[tuple[int, ...]] = []
     cols = [0] * n
     perm = [0] * n
     gen = 0
 
     def rec(i: int, placed: int, state: int) -> None:
-        nonlocal best_cols, best_perm, gen
+        nonlocal best_cols, gen
         if i == n:
-            best_cols = cols.copy()
-            best_perm = perm.copy()
+            if state or not every:  # a new least code, or keep only the last
+                best_cols = cols.copy()
+                leaves.clear()
+            leaves.append(tuple(perm))
             gen += 1
             return
         scored = []
@@ -382,20 +398,28 @@ def canonical_labeling(g: Graph) -> tuple[int, ...]:
                 st = 0
 
     rec(0, 0, -1)
-    assert best_perm is not None
-    return tuple(best_perm)
+    rec = None  # break the closure's self-reference: free without the gc
+    return best_cols, leaves
 
 
-def relabeled(g: Graph, perm) -> Graph:
-    """Graph with vertex ``perm[i]`` renamed to ``i``."""
-    pos = {v: i for i, v in enumerate(perm)}
-    rows = [0] * g.n
-    for i, v in enumerate(perm):
-        row = 0
-        for u in bits(g.adj[v]):
-            row |= 1 << pos[u]
-        rows[i] = row
-    return Graph(g.n, tuple(rows))
+def canonical_labeling(g: Graph) -> tuple[int, ...]:
+    """Permutation ``perm[position] = vertex`` of a canonical relabeling."""
+    return _canonical_search(g.n, g.adj)[1][-1]
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of ``g`` as a map ``sigma[v]``, identity first.
+
+    Read off the canonical search: two labelings with the same minimal code
+    differ by exactly one automorphism.
+    """
+    _, leaves = _canonical_search(g.n, g.adj, every=True)
+    at = [0] * g.n  # position of each vertex in the first labeling
+    for i, v in enumerate(leaves[0]):
+        at[v] = i
+    for k, leaf in enumerate(leaves):  # in place: the group can be large
+        leaves[k] = tuple([leaf[i] for i in at])
+    return leaves
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -403,7 +427,8 @@ def canonical_form(g: Graph) -> bytes:
 
     Equal outputs hold exactly for isomorphic graphs.
     """
-    return encode_g6(relabeled(g, canonical_labeling(g))).encode("ascii")
+    cols, _ = _canonical_search(g.n, g.adj)
+    return _pack_g6(g.n, cols).encode("ascii")
 
 
 # --- attachment transforms ------------------------------------------------

@@ -3,8 +3,10 @@
 ``naive_iota`` certifies isolation numbers by trying every vertex subset in
 increasing size order; ``count_connected_classes`` counts isomorphism classes
 of connected graphs by exhaustive labeled enumeration with a permutation
-isomorphism check.  Neither touches the hitting-set solver, the census
-augmentation, or the canonical-form search.
+isomorphism check; ``count_automorphisms`` tries every vertex permutation.
+None of them touches the hitting-set solver, the census augmentation, or the
+canonical-form search.  ``networkx_graph`` hands a graph to networkx, an
+optional oracle that tests skip when it is missing.
 """
 
 from itertools import combinations, permutations, product
@@ -100,3 +102,21 @@ def disjoint_union(graphs):
         edges.extend((u + offset, v + offset) for u, v in g.edges())
         offset += g.n
     return Graph.from_edges(offset, edges)
+
+
+def count_automorphisms(g):
+    """Number of vertex permutations that map the edge set onto itself, by
+    trying all n! of them."""
+    edges = set(g.edges())
+    return sum(1 for p in permutations(range(g.n))
+               if all((min(p[u], p[v]), max(p[u], p[v])) in edges
+                      for u, v in edges))
+
+
+def networkx_graph(g):
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h

@@ -1,6 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import isolation
 from isolation import canonical_form, decode_g6, diamond_graph, encode_g6, y_graph
 from isolation.cli import main
 
@@ -232,6 +237,23 @@ def test_unknown_flag_is_usage_error(capsys):
 def test_missing_input_file(capsys):
     code, _, err = run(capsys, ["solve", "--input", "/nonexistent/file.g6"])
     assert code == 2 and "file" in err.lower()
+
+
+def test_closed_pipe_exits_cleanly():
+    # far more output than a pipe buffers, so the writer is still writing
+    # when the reader goes away
+    src = str(Path(isolation.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    with subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from isolation.cli import main; sys.exit(main())",
+             "enumerate", "--n", "8", "--format", "json-lines"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == b""
+    assert json.loads(first)["n"] == 8
 
 
 def test_table_format_output(capsys, monkeypatch):

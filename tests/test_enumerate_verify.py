@@ -25,7 +25,7 @@ from isolation import (
     y_graph,
 )
 from isolation.patterns import P3, clique
-from oracles import count_connected_classes, disjoint_union
+from oracles import count_connected_classes, disjoint_union, networkx_graph
 
 
 # --- enumeration --------------------------------------------------------------
@@ -46,6 +46,20 @@ def test_census_has_no_duplicate_classes(census):
     for n in range(1, 8):
         keys = {canonical_form(g) for g in census[n]}
         assert len(keys) == len(census[n])
+
+
+@pytest.mark.filterwarnings("ignore:The hashes produced")
+def test_census_classes_are_pairwise_non_isomorphic(census):
+    # independent of canonical_form, which the census uses to break ties
+    nx = pytest.importorskip("networkx")
+    for n in (7, 8):
+        buckets = {}
+        for g in census[n]:
+            h = networkx_graph(g)
+            buckets.setdefault(nx.weisfeiler_lehman_graph_hash(h), []).append(h)
+        for bucket in buckets.values():
+            for i, a in enumerate(bucket):
+                assert not any(nx.is_isomorphic(a, b) for b in bucket[i + 1:])
 
 
 def test_census_graphs_are_connected(census):

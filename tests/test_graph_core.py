@@ -1,4 +1,5 @@
 import random
+from math import factorial
 
 import pytest
 
@@ -6,6 +7,7 @@ from isolation import (
     Graph,
     Graph6Error,
     attach_gadget,
+    automorphisms,
     bits,
     canonical_form,
     closed_neighborhood,
@@ -26,7 +28,7 @@ from isolation import (
     y_graph,
     DIAMOND,
 )
-from oracles import disjoint_union
+from oracles import count_automorphisms, disjoint_union, networkx_graph
 
 
 def random_graph(rng, n, p=0.4):
@@ -268,6 +270,59 @@ def test_canonical_all_diamond_relabelings_agree():
         keys.add(canonical_form(
             Graph.from_edges(4, [(perm[u], perm[v]) for u, v in base])))
     assert len(keys) == 1
+
+
+def random_graph_with_edges(rng, n, m):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph.from_edges(n, rng.sample(pairs, m))
+
+
+def test_canonical_form_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(44)
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randrange(4, 9)
+        m = rng.randrange(n - 1, n * (n - 1) // 2 - n + 2)
+        a = random_graph_with_edges(rng, n, m)
+        if rng.random() < 0.5:
+            b = shuffled(rng, a)
+        else:
+            b = random_graph_with_edges(rng, n, m)
+        same = nx.is_isomorphic(networkx_graph(a), networkx_graph(b))
+        assert (canonical_form(a) == canonical_form(b)) == same
+        outcomes[same] += 1
+    assert min(outcomes.values()) >= 100
+
+
+# --- automorphisms -----------------------------------------------------------
+
+def test_automorphism_counts_of_named_graphs():
+    for n in range(1, 7):
+        assert len(automorphisms(complete_graph(n))) == factorial(n)
+    for n in range(3, 9):
+        assert len(automorphisms(cycle_graph(n))) == 2 * n
+    assert len(automorphisms(y_graph())) == 18
+    assert automorphisms(Graph(0, ())) == [()]
+
+
+def check_automorphisms(g):
+    group = automorphisms(g)
+    assert group[0] == tuple(range(g.n))
+    assert len(set(group)) == len(group) == count_automorphisms(g)
+    for sigma in group:
+        assert sorted(sigma) == list(range(g.n))
+        assert all(g.has_edge(sigma[u], sigma[v]) for u, v in g.edges())
+
+
+def test_automorphisms_match_brute_force(census):
+    for n in range(1, 7):
+        for g in census[n]:
+            check_automorphisms(g)
+    rng = random.Random(45)
+    for _ in range(60):  # disconnected and edgeless graphs too
+        check_automorphisms(random_graph(rng, rng.randrange(0, 7),
+                                         rng.uniform(0.0, 0.6)))
 
 
 # --- attachments -------------------------------------------------------------

@@ -71,6 +71,11 @@ class PatternFamily:
                 raise ValueError("custom pattern must be connected")
             object.__setattr__(self, "pattern_key", canonical_form(p))
 
+    @property
+    def finite(self) -> bool:
+        """False for any-cycle, the one family with unboundedly many copies."""
+        return self.kind != ANY_CYCLE_KIND
+
     def label(self) -> str:
         if self.kind == CLIQUE_KIND:
             return f"k:{self.k}"
@@ -148,6 +153,29 @@ def _has_cycle(g: Graph) -> bool:
     return g.edge_count() > g.n - len(components(g))
 
 
+def shortest_cycle(g: Graph, within: int) -> int:
+    """Vertex mask of a shortest (so chordless) cycle of ``g`` inside
+    ``within``, or 0.  A BFS from each r over ``within`` above r measures
+    closed walks r..u-w..r over non-tree edges uw; the shortest is a cycle."""
+    best_len, best = g.n + 1, 0
+    for r in bits(within):
+        allowed, path, queue = within >> r << r, {r: 1 << r}, [r]
+        for u in queue:  # BFS: the queue grows while it is read
+            d = path[u].bit_count() - 1  # path[u]: tree path from r to u
+            if 2 * d + 1 >= best_len:
+                break
+            for w in bits(g.adj[u] & allowed & ~path[u]):
+                if w not in path:
+                    path[w] = path[u] | 1 << w
+                    queue.append(w)
+                elif d + path[w].bit_count() < best_len:
+                    best_len = d + path[w].bit_count()
+                    best = path[u] | path[w]
+        if best_len == 3:
+            break
+    return best
+
+
 def contains_pattern(g: Graph, f: PatternFamily) -> bool:
     """True iff ``g`` contains some member of ``f`` as a subgraph."""
     kind = f.kind
@@ -179,7 +207,7 @@ def enumerate_copies(g: Graph, f: PatternFamily) -> list[int]:
     """Vertex-support masks of all copies of ``f`` in ``g``, deduplicated and
     sorted; raises for the (infinite) any-cycle family."""
     kind = f.kind
-    if kind == ANY_CYCLE_KIND:
+    if not f.finite:
         raise UnsupportedFamilyError(
             "the any-cycle family has unbounded copies; use a structural check")
     found: set[int] = set()

@@ -2,17 +2,20 @@
 
 A set S isolates a pattern copy D exactly when S meets the closed
 neighborhood of D's vertex support, so the minimum isolating set is a minimum
-hitting set over those closures.  The solver decomposes by connected
-components (isolation numbers are additive over components), uses a greedy
-upper bound and a disjoint-closure packing lower bound, and breaks every tie
-by least vertex index so results are reproducible bit for bit.
+hitting set over those closures.  Any-cycle has unboundedly many copies, so
+after each solve the closure of a shortest cycle left outside N[witness] is
+added until none is left (implicit hitting sets; Moreno-Centeno and Karp,
+Oper. Res. 61(2), 2013): each round's optimum is a lower bound, and the last
+witness isolates.  The solver decomposes by connected components (isolation
+numbers are additive over components), uses a greedy upper bound and a
+disjoint-closure packing lower bound, and breaks every tie by least vertex
+index so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graph_core import (
     Graph,
@@ -24,19 +27,20 @@ from .graph_core import (
     mask_of,
 )
 from .patterns import (
-    ANY_CYCLE,
-    ANY_CYCLE_KIND,
     K1,
     PatternFamily,
     contains_pattern,
     enumerate_copies,
+    shortest_cycle,
 )
 
 
 @dataclass(frozen=True)
 class SolveResult:
     """Exact isolation number with a witness set (original labels) and search
-    statistics."""
+    statistics: ``copies_found`` closures searched (for any-cycle, the cycle
+    closures generated) and ``nodes_explored`` branch-and-bound nodes, summed
+    over the any-cycle rounds."""
 
     value: int
     witness: int
@@ -139,19 +143,6 @@ def _solve_hitting(sets: list[int], n: int) -> tuple[int, int, int]:
     return best_size, best, nodes
 
 
-def _solve_any_cycle(g: Graph) -> tuple[int, int, int]:
-    """Iterative deepening over candidate sets with a forest check on the
-    residual; exact but exponential, meant for small orders."""
-    nodes = 0
-    for k in range(g.n + 1):
-        for combo in combinations(range(g.n), k):
-            nodes += 1
-            s = mask_of(combo)
-            if is_isolating(g, ANY_CYCLE, s):
-                return k, s, nodes
-    raise AssertionError("deleting every closed neighborhood leaves a forest")
-
-
 def iota_exact(g: Graph, f: PatternFamily) -> SolveResult:
     """Exact minimum size of an ``f``-isolating set, with witness.
 
@@ -165,14 +156,17 @@ def iota_exact(g: Graph, f: PatternFamily) -> SolveResult:
     nodes = 0
     for comp in components(g):
         sub, old = induced_subgraph(g, comp)
-        if f.kind == ANY_CYCLE_KIND:
-            size, local, explored = _solve_any_cycle(sub)
-        else:
-            sets = copy_closures(sub, f)
-            copies += len(sets)
+        sets = copy_closures(sub, f) if f.finite else []
+        while True:
             size, local, explored = _solve_hitting(sets, sub.n)
+            nodes += explored
+            cycle = 0 if f.finite else shortest_cycle(
+                sub, sub.full_mask & ~closed_neighborhood(sub, local))
+            if not cycle:
+                break
+            sets.append(closed_neighborhood(sub, cycle))
+        copies += len(sets)
         value += size
-        nodes += explored
         witness |= mask_of(old[v] for v in bits(local))
     return SolveResult(value, witness, copies, nodes, time.perf_counter() - start)
 

@@ -179,7 +179,7 @@ def test_criterion_7_historical_bounds(census):
 def test_criterion_8_oracle_equivalence(census):
     start = time.perf_counter()
     checked = 0
-    for family in (DIAMOND, K2, P3):
+    for family in (DIAMOND, K2, P3, ANY_CYCLE):
         for n in range(1, 8):
             for g in census[n]:
                 assert iota_exact(g, family).value == naive_iota(g, family)

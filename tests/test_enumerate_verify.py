@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -108,6 +109,28 @@ def test_diamond_sweep_small_orders(census):
 def test_k2_sweep_flags_c5(census):
     report = sweep(census, K2, 1, 3, 5, min_n=3)
     assert exception_keys(report) == {canonical_form(cycle_graph(5))}
+
+
+def test_exception_recheck_is_independent_of_the_solver(monkeypatch):
+    # a solver that overstates iota by one must not confirm its own claim
+    import isolation.enumerate_verify as ev
+
+    real = ev.iota_exact
+
+    def inflated(g, family):
+        res = real(g, family)
+        return dataclasses.replace(res, value=res.value + 1)
+
+    monkeypatch.setattr(ev, "iota_exact", inflated)
+    with pytest.raises(AssertionError, match="did not re-verify"):
+        verify_bound([complete_graph(4)], BoundSpec(DIAMOND, 1, 5))
+
+
+def test_exception_recheck_above_the_subset_order():
+    # order 15 is past the subset re-check and goes through a second solve
+    g = extremal_witness_15()
+    report = verify_bound([g], BoundSpec(DIAMOND, 1, 6))
+    assert [f.iota for f in report.exceptions] == [3]
 
 
 def test_min_order_filter_counts():

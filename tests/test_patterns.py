@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from isolation import (
@@ -20,15 +23,18 @@ from isolation import (
     diamond_graph,
     enumerate_copies,
     extremal_witness_15,
+    induced_subgraph,
     is_connected,
     make_named,
     parse_family,
     path_graph,
+    random_connected_graph,
     star,
     verify_y_properties,
     y_graph,
 )
-from oracles import disjoint_union
+from isolation.patterns import shortest_cycle
+from oracles import disjoint_union, networkx_graph
 
 
 # --- family parsing ---------------------------------------------------------
@@ -212,3 +218,40 @@ def test_copy_supports_contain_the_pattern():
         sub, _ = induced_subgraph(g, m)
         assert contains_pattern(sub, DIAMOND)
         assert m.bit_count() == 4
+
+
+# --- shortest cycle -----------------------------------------------------------
+
+def shortest_cycle_cases(census):
+    """(graph, within) pairs: the census for n <= 7 and seeded random graphs,
+    some disconnected, each with its full vertex set and a random subset."""
+    rng = random.Random(43)
+    graphs = [g for n in range(1, 8) for g in census[n]]
+    for _ in range(200):
+        parts = [random_connected_graph(rng, rng.randrange(1, 9))
+                 for _ in range(rng.randrange(1, 3))]
+        graphs.append(disjoint_union(parts))
+    for g in graphs:
+        yield g, g.full_mask
+        yield g, rng.randrange(1 << g.n)
+
+
+def test_shortest_cycle_is_a_chordless_cycle_or_zero(census):
+    for g, within in shortest_cycle_cases(census):
+        c = shortest_cycle(g, within)
+        sub, _ = induced_subgraph(g, within)
+        assert (c != 0) == contains_pattern(sub, ANY_CYCLE)
+        assert not c & ~within
+        if c:
+            cycle, _ = induced_subgraph(g, c)
+            assert cycle.n >= 3 and is_connected(cycle)
+            assert all(row.bit_count() == 2 for row in cycle.adj)
+
+
+def test_shortest_cycle_length_is_the_girth(census):
+    nx = pytest.importorskip("networkx")
+    for g, within in shortest_cycle_cases(census):
+        sub, _ = induced_subgraph(g, within)
+        girth = nx.girth(networkx_graph(sub))
+        expected = 0 if girth == math.inf else girth
+        assert shortest_cycle(g, within).bit_count() == expected

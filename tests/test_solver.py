@@ -8,6 +8,7 @@ from isolation import (
     K1,
     Graph,
     bits,
+    circulant_graph,
     complete_graph,
     copy_closures,
     cycle_graph,
@@ -135,6 +136,37 @@ def test_any_cycle_values():
     assert res.value == 2
     residual, _ = delete_closed_neighborhood(two_triangles, res.witness)
     assert residual.edge_count() == residual.n - len(components(residual))
+    # one triangle closure per component, each hit by the first solve
+    assert res.copies_found == 2 and res.nodes_explored > 0
+    assert iota_exact(path_graph(6), ANY_CYCLE).copies_found == 0
+
+
+def test_any_cycle_matches_oracle_on_random_graphs():
+    rng = random.Random(41)
+    disconnected = 0
+    for _ in range(60):
+        if rng.random() < 0.4:
+            sizes = [rng.randrange(1, 7) for _ in range(rng.randrange(2, 4))]
+            g = disjoint_union([random_connected_graph(rng, k) for k in sizes])
+            disconnected += 1
+        else:
+            g = random_connected_graph(rng, rng.randrange(1, 13))
+        res = iota_exact(g, ANY_CYCLE)
+        assert res.value == naive_iota(g, ANY_CYCLE)
+        assert res.witness.bit_count() == res.value
+        assert is_isolating(g, ANY_CYCLE, res.witness)
+    assert disconnected >= 10
+
+
+@pytest.mark.parametrize("n", list(range(7, 30)) + [48])
+def test_any_cycle_circulant_closed_form(n):
+    # in C_n(1,2) each N[v] covers 5 consecutive vertices and any 3
+    # consecutive residual vertices form a triangle, so iota = ceil(n/7)
+    g = circulant_graph(n, (1, 2))
+    res = iota_exact(g, ANY_CYCLE)
+    assert res.value == -(-n // 7)
+    assert res.witness.bit_count() == res.value
+    assert is_isolating(g, ANY_CYCLE, res.witness)
 
 
 # --- structural invariants --------------------------------------------------

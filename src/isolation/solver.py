@@ -5,11 +5,18 @@ neighborhood of D's vertex support, so the minimum isolating set is a minimum
 hitting set over those closures.  Any-cycle has unboundedly many copies, so
 after each solve the closure of a shortest cycle left outside N[witness] is
 added until none is left (implicit hitting sets; Moreno-Centeno and Karp,
-Oper. Res. 61(2), 2013): each round's optimum is a lower bound, and the last
-witness isolates.  The solver decomposes by connected components (isolation
-numbers are additive over components), uses a greedy upper bound and a
+Oper. Res. 61(2), 2013): each round's optimum is a lower bound, so the next
+round stops at the first hitting set of that size, and the last witness
+isolates.  The solver decomposes by connected components (isolation numbers
+are additive over components), uses a greedy upper bound and a
 disjoint-closure packing lower bound, and breaks every tie by least vertex
 index so results are reproducible bit for bit.
+
+The closures are held once, transposed: bit i of ``cols[v]`` is set iff
+vertex v lies in closure i.  The subset filter, the greedy and the branch and
+bound work on masks of closure indices, so a vertex's hit count is one
+popcount and a child's uncovered closures one AND (bit-parallel search; San
+Segundo, Rodriguez-Losada and Jimenez, Comput. Oper. Res. 38(2), 2011).
 """
 
 from __future__ import annotations
@@ -62,84 +69,110 @@ def copy_closures(g: Graph, f: PatternFamily) -> list[int]:
 
 
 def greedy_isolating(g: Graph, f: PatternFamily) -> int:
-    """Valid isolating set built by repeatedly taking the vertex that hits the
-    most still-uncovered copy closures (ties to the least index)."""
-    return _greedy_hitting(copy_closures(g, f), g.n)
+    """Valid isolating set built by repeatedly taking the vertex that hits
+    the most still-uncovered closures, one per copy (ties to least index)."""
+    sets = copy_closures(g, f)
+    cols = [0] * g.n
+    for i, s in enumerate(sets):
+        for v in bits(s):
+            cols[v] |= 1 << i
+    return _greedy_hitting(cols, (1 << len(sets)) - 1)
 
 
-def _minimal_sets(sets: list[int]) -> list[int]:
-    ordered = sorted(set(sets), key=lambda s: (s.bit_count(), s))
+def _minimal_sets(sets: list[int], n: int) -> tuple[list[int], list[int], int]:
+    """Inclusion-minimal members of ``sets``, ordered by (size, mask), with
+    their incidence ``cols`` (bit i of ``cols[v]`` is set iff vertex v lies
+    in ``kept[i]``) and the mask of all kept indices."""
     kept: list[int] = []
-    for s in ordered:
-        if not any(m & s == m for m in kept):
+    cols = [0] * n
+    full = 0
+    for s in sorted(set(sets), key=lambda s: (s.bit_count(), s)):
+        # kept indices with no vertex outside s, i.e. kept subsets of s
+        inside = full
+        for v in range(n):
+            if not s >> v & 1:
+                inside &= ~cols[v]
+                if not inside:
+                    break
+        if not inside:
+            bit = 1 << len(kept)
+            for v in range(n):
+                if s >> v & 1:
+                    cols[v] |= bit
             kept.append(s)
-    return kept
+            full = full << 1 | 1
+    return kept, cols, full
 
 
-def _greedy_hitting(sets: list[int], n: int) -> int:
+def _greedy_hitting(cols: list[int], uncovered: int) -> int:
     chosen = 0
-    uncovered = sets
     while uncovered:
         best_v = -1
         best_hits = 0
-        for v in range(n):
-            hits = sum(1 for s in uncovered if s >> v & 1)
+        for v, col in enumerate(cols):
+            hits = (uncovered & col).bit_count()
             if hits > best_hits:
                 best_hits = hits
                 best_v = v
         chosen |= 1 << best_v
-        uncovered = [s for s in uncovered if not s >> best_v & 1]
+        uncovered &= ~cols[best_v]
     return chosen
 
 
-def _solve_hitting(sets: list[int], n: int) -> tuple[int, int, int]:
-    """Minimum hitting set over nonempty vertex masks.
+def _solve_hitting(sets: list[int], n: int, lower: int) -> tuple[int, int, int]:
+    """Minimum hitting set over nonempty vertex masks, given a proven lower
+    bound ``lower`` on its size.
 
     Returns (size, witness mask, nodes explored); the exhausted branch and
-    bound certifies that no smaller hitting set exists.
+    bound certifies that no smaller hitting set exists.  The first hitting
+    set of size ``lower`` ends the search: nothing can beat it.
     """
-    sets = _minimal_sets(sets)
+    sets, cols, full = _minimal_sets(sets, n)
     if not sets:
         return 0, 0, 0
-    best = _greedy_hitting(sets, n)
+    best = _greedy_hitting(cols, full)
     best_size = best.bit_count()
     nodes = 0
 
-    def rec(chosen: int, size: int, uncovered: list[int], banned: int) -> None:
+    def rec(chosen: int, size: int, uncovered: int, banned: int) -> None:
         nonlocal best, best_size, nodes
         nodes += 1
         if not uncovered:
             if size < best_size:
                 best, best_size = chosen, size
             return
-        # packing lower bound over selectable vertices; also detects branches
-        # where some closure can no longer be hit at all
+        # one pass: a packing lower bound over selectable vertices (which also
+        # detects closures no longer hittable), and the fail-first pick, the
+        # closure with the fewest selectable vertices
         packing = 0
         used = 0
-        for s in uncovered:
+        pick, pick_count = 0, n + 1
+        for i in bits(uncovered):
+            s = sets[i]
             eff = s & ~banned
             if not eff:
                 return
             if not eff & used:
                 packing += 1
                 used |= eff
+            count = eff.bit_count()
+            if count < pick_count or count == pick_count and s < pick:
+                pick, pick_count = s, count
         if size + packing >= best_size:
             return
-        # fail-first: branch on the closure with the fewest selectable
-        # vertices, trying high-hit-count vertices first
-        pick = min(uncovered, key=lambda s: ((s & ~banned).bit_count(), s))
-        branch = []
-        for v in bits(pick & ~banned):
-            hits = sum(1 for s in uncovered if s >> v & 1)
-            branch.append((-hits, v))
-        branch.sort()
+        # try high-hit-count vertices first
+        branch = sorted((-(uncovered & cols[v]).bit_count(), v)
+                        for v in bits(pick & ~banned))
         newly_banned = banned
         for _, v in branch:
-            rec(chosen | 1 << v, size + 1,
-                [s for s in uncovered if not s >> v & 1], newly_banned)
+            rec(chosen | 1 << v, size + 1, uncovered & ~cols[v], newly_banned)
+            if best_size <= lower:
+                return
             newly_banned |= 1 << v
 
-    rec(0, 0, sets, 0)
+    if best_size > lower:
+        rec(0, 0, full, 0)
+    rec = None  # break the closure's self-reference: free without the gc
     return best_size, best, nodes
 
 
@@ -157,8 +190,9 @@ def iota_exact(g: Graph, f: PatternFamily) -> SolveResult:
     for comp in components(g):
         sub, old = induced_subgraph(g, comp)
         sets = copy_closures(sub, f) if f.finite else []
+        size = 0  # each round's optimum bounds the next round from below
         while True:
-            size, local, explored = _solve_hitting(sets, sub.n)
+            size, local, explored = _solve_hitting(sets, sub.n, size)
             nodes += explored
             cycle = 0 if f.finite else shortest_cycle(
                 sub, sub.full_mask & ~closed_neighborhood(sub, local))

@@ -3,10 +3,12 @@
 ``naive_iota`` certifies isolation numbers by trying every vertex subset in
 increasing size order; ``count_connected_classes`` counts isomorphism classes
 of connected graphs by exhaustive labeled enumeration with a permutation
-isomorphism check; ``count_automorphisms`` tries every vertex permutation.
-None of them touches the hitting-set solver, the census augmentation, or the
-canonical-form search.  ``networkx_graph`` hands a graph to networkx, an
-optional oracle that tests skip when it is missing.
+isomorphism check; ``count_automorphisms`` tries every vertex permutation;
+``minimal_family`` and ``list_greedy`` are the plain-list definitions of the
+solver's subset filter and greedy.  None of them touches the hitting-set
+solver, the census augmentation, or the canonical-form search.
+``networkx_graph`` hands a graph to networkx, an optional oracle that tests
+skip when it is missing.
 """
 
 from itertools import combinations, permutations, product
@@ -111,6 +113,28 @@ def count_automorphisms(g):
     return sum(1 for p in permutations(range(g.n))
                if all((min(p[u], p[v]), max(p[u], p[v])) in edges
                       for u, v in edges))
+
+
+def minimal_family(sets):
+    """The inclusion-minimal members of ``sets``, each once, ordered by
+    (size, mask): a set is kept when no other member is a proper subset."""
+    unique = set(sets)
+    minimal = [s for s in unique if not any(m != s and m & s == m for m in unique)]
+    return sorted(minimal, key=lambda s: (s.bit_count(), s))
+
+
+def list_greedy(sets, n):
+    """Greedy hitting set over a list of vertex masks, every entry counted
+    (duplicates too): take the vertex lying in the most masks not yet hit,
+    ties to the least index, until every mask is hit."""
+    chosen = 0
+    left = list(sets)
+    while left:
+        hits = [sum(1 for s in left if s >> v & 1) for v in range(n)]
+        v = hits.index(max(hits))
+        chosen |= 1 << v
+        left = [s for s in left if not s >> v & 1]
+    return chosen
 
 
 def networkx_graph(g):

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -6,6 +7,8 @@ from isolation import (
     ANY_CYCLE,
     DIAMOND,
     K1,
+    K2,
+    P3,
     Graph,
     bits,
     circulant_graph,
@@ -19,11 +22,13 @@ from isolation import (
     greedy_isolating,
     iota_exact,
     is_isolating,
+    parse_family,
     path_graph,
     random_connected_graph,
     y_graph,
 )
-from oracles import disjoint_union, naive_iota
+from isolation.solver import _minimal_sets
+from oracles import disjoint_union, list_greedy, minimal_family, naive_iota
 
 
 # --- is_isolating -----------------------------------------------------------
@@ -95,6 +100,17 @@ def test_greedy_achieves_optimum_on_y():
     s = greedy_isolating(y_graph(), DIAMOND)
     assert is_isolating(y_graph(), DIAMOND, s)
     assert s.bit_count() == iota_exact(y_graph(), DIAMOND).value == 2
+
+
+def test_greedy_matches_the_list_greedy_with_duplicates(census):
+    # the greedy weighs every copy, so duplicate closures count each time
+    families = (DIAMOND, P3, K2, parse_family("star:2"))
+    graphs = [g for n in range(1, 8) for g in census[n]]
+    rng = random.Random(13)
+    graphs += [random_connected_graph(rng, rng.randrange(4, 16)) for _ in range(100)]
+    for f in families:
+        for g in graphs:
+            assert greedy_isolating(g, f) == list_greedy(copy_closures(g, f), g.n)
 
 
 def test_greedy_always_valid_never_below_optimum():
@@ -214,6 +230,50 @@ def test_hitting_instance_sets_are_nonempty_closures():
     closures = copy_closures(g, DIAMOND)
     assert closures and all(c and not c & ~g.full_mask for c in closures)
     assert iota_exact(g, DIAMOND).copies_found == len(closures)
+
+
+def _check_minimal_sets(sets, n):
+    kept, cols, full = _minimal_sets(sets, n)
+    assert kept == minimal_family(sets)
+    assert full == (1 << len(kept)) - 1
+    assert cols == [sum(1 << i for i, s in enumerate(kept) if s >> v & 1)
+                    for v in range(n)]
+
+
+def test_minimal_sets_match_the_quadratic_definition():
+    _check_minimal_sets([], 3)
+    rng = random.Random(29)
+    for _ in range(400):
+        n = rng.randrange(1, 11)
+        base = [rng.randrange(1, 1 << n) for _ in range(rng.randrange(1, 15))]
+        # proper and improper supersets, repeats, and equal-size siblings
+        sets = base + [s | rng.randrange(1 << n) for s in base]
+        sets += rng.choices(base, k=rng.randrange(len(base) + 1))
+        rng.shuffle(sets)
+        _check_minimal_sets(sets, n)
+
+
+def test_minimal_sets_on_census_closures(census):
+    for f in (DIAMOND, P3, K2):
+        for n in range(1, 8):
+            for g in census[n]:
+                _check_minimal_sets(copy_closures(g, f), g.n)
+
+
+def test_solves_leave_no_cyclic_garbage():
+    # a reference cycle left by the search would keep each solve's closure
+    # incidence alive until the cycle collector runs
+    graphs = (extremal_witness_15(), y_graph(), circulant_graph(20, (1, 2)))
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            for f in (DIAMOND, K2, ANY_CYCLE):
+                iota_exact(g, f)
+            greedy_isolating(g, DIAMOND)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_minimality_certified_against_oracle_sample(census):

@@ -6,7 +6,10 @@ floor(n/5) exists.  The construction here follows the inductive shape of that
 guarantee: small orders are solved exactly, larger orders pick a pivot
 vertex, delete its closed neighborhood and recurse on the residual
 components, with the three exceptional graphs charged one (diamond, K4) or
-two (Y) vertices when they appear as components.
+two (Y) vertices when they appear as components.  The recursion works on
+vertex masks of the input graph, so pivots and trace steps are in its labels
+without relabeling; a component is copied out only for a canonical form or
+an exact solve of at most 9 vertices.
 
 Rather than transliterating every structural subcase, the pivot is drawn
 from a short candidate list (the maximum-degree anchor, its neighbors, and a
@@ -25,10 +28,9 @@ from functools import cache
 
 from .graph_core import (
     Graph,
+    _components_within,
     bits,
     canonical_form,
-    closed_neighborhood,
-    components,
     encode_g6,
     induced_subgraph,
     is_connected,
@@ -121,161 +123,140 @@ def _exceptional_keys() -> dict[bytes, str]:
             canonical_form(y_graph()): "y"}
 
 
-def _exceptional_kind(g: Graph) -> str | None:
-    """Classify ``g`` up to isomorphism: "small" for the diamond or K4, "y"
-    for Y, None otherwise.  Only graphs with the order and edge count of an
-    exceptional graph reach the canonical form."""
-    if (g.n, g.edge_count()) not in ((4, 5), (4, 6), (9, 18)):
+def _exceptional_kind(g: Graph, keep: int) -> str | None:
+    """Classify the subgraph of ``g`` induced on ``keep`` up to isomorphism:
+    "small" for the diamond or K4, "y" for Y, None otherwise.  Only vertex
+    sets with the order and edge count of an exceptional graph reach the
+    canonical form."""
+    edges = sum((g.adj[v] & keep).bit_count() for v in bits(keep)) // 2
+    if (keep.bit_count(), edges) not in ((4, 5), (4, 6), (9, 18)):
         return None
-    return _exceptional_keys().get(canonical_form(g))
+    return _exceptional_keys().get(canonical_form(induced_subgraph(g, keep)[0]))
 
 
 def is_exceptional(g: Graph) -> bool:
     """True iff ``g`` is isomorphic to the diamond, K4 or Y."""
-    return _exceptional_kind(g) is not None
+    return _exceptional_kind(g, g.full_mask) is not None
 
 
-def _pivot_candidates(g: Graph):
-    """Pivot candidates in order: the anchor (a maximum-degree vertex, or for
-    cubic graphs a degree-3 vertex whose closed neighborhood induces a
-    diamond), its neighbors, then at most 7 fallback vertices around
-    exceptional residual components.  The fallbacks are only worked out
-    once the anchor and all its neighbors have been tried."""
-    degs = [g.degree(v) for v in range(g.n)]
-    delta = max(degs)
+def _pivot_candidates(g: Graph, keep: int):
+    """Pivot candidates in ``keep`` in order: the anchor (a maximum-degree
+    vertex, or for cubic graphs a degree-3 vertex whose closed neighborhood
+    induces a diamond), its neighbors, then at most 7 fallback vertices
+    around exceptional residual components.  Degrees are taken within
+    ``keep``.  The fallbacks are only worked out once the anchor and all its
+    neighbors have been tried."""
+    adj = g.adj
+    degs = {v: (adj[v] & keep).bit_count() for v in bits(keep)}
+    delta = max(degs.values())
     anchor = -1
     if delta == 3:
-        for v in range(g.n):
-            if degs[v] != 3:
+        for v, d in degs.items():
+            if d != 3:
                 continue
-            inner = sum((g.adj[u] & g.adj[v]).bit_count()
-                        for u in bits(g.adj[v])) // 2
-            if inner == 2:
+            near = adj[v] & keep
+            if sum((adj[u] & near).bit_count() for u in bits(near)) // 2 == 2:
                 anchor = v
                 break
     if anchor < 0:
-        anchor = degs.index(delta)
+        anchor = next(v for v, d in degs.items() if d == delta)
 
     yield anchor, "anchor"
-    for u in bits(g.adj[anchor]):
+    for u in bits(adj[anchor] & keep):
         yield u, "neighbor"
 
     extras: list[int] = []
-    region = closed_neighborhood(g, 1 << anchor)
-    rest = g.full_mask & ~region
-    if rest:
-        rest_graph, rest_old = induced_subgraph(g, rest)
-        ranked = []
-        for comp in components(rest_graph):
-            sub, sublocal = induced_subgraph(rest_graph, comp)
-            orig = tuple(rest_old[v] for v in sublocal)
-            kind = _exceptional_kind(sub)
-            if kind == "small":
-                rank = 0 if sub.edge_count() == 6 else 2
-                if rank == 2:
-                    # diamond component: degree-3 vertex on the boundary first
-                    deg3_boundary = any(
-                        sub.degree(i) == 3 and g.adj[orig[i]] & region
-                        for i in range(sub.n))
-                    rank = 2 if deg3_boundary else 3
-            elif kind == "y":
-                rank = 1
-            else:
-                continue
-            ranked.append((rank, orig[0], sub, orig))
-        for rank, _, sub, orig in sorted(ranked, key=lambda t: (t[0], t[1])):
-            boundary = [i for i in range(sub.n) if g.adj[orig[i]] & region]
-            if not boundary:
-                continue
-            x = boundary[0]
-            extras.append(orig[x])
-            extras.extend(orig[i] for i in bits(sub.adj[x]))
-            if rank == 1:
-                v = residual_path_pivot(sub, x)
-                if v is not None:
-                    extras.append(orig[v])
-        # a distance-2 vertex from the anchor and one of its outside neighbors
-        for v in bits(rest):
-            if g.adj[v] & region:
-                extras.append(v)
-                outside = g.adj[v] & rest
-                if outside:
-                    extras.append((outside & -outside).bit_length() - 1)
-                break
+    region = 1 << anchor | adj[anchor] & keep
+    rest = keep & ~region
+    ranked = []
+    for comp in _components_within(adj, rest):
+        kind = _exceptional_kind(g, comp)
+        if kind == "small":
+            deg3 = [v for v in bits(comp) if (adj[v] & comp).bit_count() == 3]
+            # K4 ranks 0, Y 1, then a diamond with a degree-3 boundary vertex
+            rank = (0 if len(deg3) == 4
+                    else 2 if any(adj[v] & region for v in deg3) else 3)
+        elif kind == "y":
+            rank = 1
+        else:
+            continue
+        ranked.append((rank, comp))
+    # stable: equal ranks keep the components' order by least vertex
+    for rank, comp in sorted(ranked, key=lambda t: t[0]):
+        boundary = [v for v in bits(comp) if adj[v] & region]
+        if not boundary:
+            continue
+        x = boundary[0]
+        extras.append(x)
+        extras.extend(bits(adj[x] & comp))
+        if rank == 1:
+            sub, old = induced_subgraph(g, comp)
+            v = residual_path_pivot(sub, old.index(x))
+            if v is not None:
+                extras.append(old[v])
+    # a distance-2 vertex from the anchor and one of its outside neighbors
+    for v in bits(rest):
+        if adj[v] & region:
+            extras.append(v)
+            outside = adj[v] & rest
+            if outside:
+                extras.append((outside & -outside).bit_length() - 1)
+            break
 
     fresh = [v for v in dict.fromkeys(extras) if not region >> v & 1]
     for v in fresh[:7]:
         yield v, "fallback"
 
 
-def _solve(g: Graph, labels: tuple[int, ...], depth: int
-           ) -> tuple[int, list[TraceStep]]:
-    """Isolating set for a connected graph, in original labels, plus trace.
+def _solve(g: Graph, keep: int, depth: int) -> tuple[int, list[TraceStep]]:
+    """Isolating set for the connected subgraph of ``g`` induced on ``keep``,
+    plus trace, both in the labels of ``g``.
 
     Exceptional graphs are allowed here (they occur as residual components)
     and charged their exact cost; the budget is enforced at each cut and at
     the top level.
     """
-    n = g.n
-    full = g.full_mask
+    if not contains_pattern(g, DIAMOND, keep):
+        return 0, [TraceStep("diamond-free", depth, (), keep, ())]
 
-    def to_orig(mask: int) -> int:
-        return mask_of(labels[v] for v in bits(mask))
-
-    if not contains_pattern(g, DIAMOND):
-        return 0, [TraceStep("diamond-free", depth, (), to_orig(full), ())]
-
-    kind = _exceptional_kind(g)
+    n = keep.bit_count()
+    kind = _exceptional_kind(g, keep)
     if kind == "small":
-        pivot = labels[0]
+        pivot = (keep & -keep).bit_length() - 1
         return 1 << pivot, [TraceStep("exceptional-component", depth,
-                                      (pivot,), to_orig(full), ())]
-    if kind == "y":
-        res = iota_exact(g, DIAMOND)
-        pivots = to_orig(res.witness)
-        return pivots, [TraceStep("exceptional-component", depth,
-                                  tuple(sorted(bits(pivots))),
-                                  to_orig(full), ())]
-
-    if n <= 9:
-        res = iota_exact(g, DIAMOND)
-        if res.value > budget(n):
+                                      (pivot,), keep, ())]
+    if n <= 9:  # Y (charged two) or a small order solved exactly
+        sub, old = induced_subgraph(g, keep)
+        res = iota_exact(sub, DIAMOND)
+        if kind is None and res.value > budget(n):
             raise BudgetCertificationError(
-                "small-order solve exceeded the budget", encode_g6(g))
-        pivots = to_orig(res.witness)
-        return pivots, [TraceStep("small-order-exact", depth,
-                                  tuple(sorted(bits(pivots))),
-                                  to_orig(full), ())]
+                "small-order solve exceeded the budget", encode_g6(sub))
+        pivots = mask_of(old[v] for v in bits(res.witness))
+        case = "exceptional-component" if kind else "small-order-exact"
+        return pivots, [TraceStep(case, depth, tuple(bits(pivots)), keep, ())]
 
     limit = budget(n)
-    for pivot, rule in _pivot_candidates(g):
-        region = closed_neighborhood(g, 1 << pivot)
-        rest_graph, rest_old = induced_subgraph(g, full & ~region)
-        chosen = 1 << labels[pivot]
+    for pivot, rule in _pivot_candidates(g, keep):
+        region = 1 << pivot | g.adj[pivot] & keep
+        chosen = 1 << pivot
         substeps: list[TraceStep] = []
         suborders: list[int] = []
-        feasible = True
-        for comp in components(rest_graph):
-            sub, sublocal = induced_subgraph(rest_graph, comp)
-            sublabels = tuple(labels[rest_old[v]] for v in sublocal)
+        for comp in _components_within(g.adj, keep & ~region):
             try:
-                picked, steps = _solve(sub, sublabels, depth + 1)
+                picked, steps = _solve(g, comp, depth + 1)
             except BudgetCertificationError:
-                feasible = False
                 break
             chosen |= picked
             substeps.extend(steps)
-            suborders.append(sub.n)
+            suborders.append(comp.bit_count())
             if chosen.bit_count() > limit:
-                feasible = False
                 break
-        if not feasible or chosen.bit_count() > limit:
-            continue
-        head = TraceStep(f"cut:{rule}", depth, (labels[pivot],),
-                         to_orig(region), tuple(suborders))
-        return chosen, [head] + substeps
-    raise BudgetCertificationError(
-        "no pivot candidate certified within budget", encode_g6(g))
+        else:
+            head = TraceStep(f"cut:{rule}", depth, (pivot,), region,
+                             tuple(suborders))
+            return chosen, [head] + substeps
+    raise BudgetCertificationError("no pivot candidate certified within budget",
+                                   encode_g6(induced_subgraph(g, keep)[0]))
 
 
 def isolating_set_n5(g: Graph) -> tuple[int, CaseTrace]:
@@ -291,7 +272,7 @@ def isolating_set_n5(g: Graph) -> tuple[int, CaseTrace]:
     if is_exceptional(g):
         raise ExceptionalGraphError(
             "the diamond, K4 and Y are excluded from the n/5 bound")
-    chosen, steps = _solve(g, tuple(range(g.n)), 0)
+    chosen, steps = _solve(g, g.full_mask, 0)
     if chosen.bit_count() > budget(g.n):
         raise BudgetCertificationError("result exceeded budget", encode_g6(g))
     if not is_isolating(g, DIAMOND, chosen):

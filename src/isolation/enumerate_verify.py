@@ -83,7 +83,7 @@ def _level(parents):
         # misses the attachment set
         splits = [_components_within(parent, ((1 << k) - 1) ^ (1 << v))
                   for v in range(k)]
-        group = automorphisms(Graph(k, tuple(parent)))
+        group = automorphisms(Graph._trusted(k, tuple(parent)))
         for attach in _orbit_least_masks(k, group):
             rows = [row | (attach >> v & 1) << k for v, row in enumerate(parent)]
             rows.append(attach)
@@ -111,7 +111,7 @@ def _is_canonical_deletion(rows: list[int], splits, tie_keys: set[bytes]) -> boo
         return False
     if all(colors[v] < colors[x] for v in rivals):
         return True
-    key = canonical_form(Graph(len(rows), tuple(rows)))
+    key = canonical_form(Graph._trusted(len(rows), tuple(rows)))
     if key in tie_keys:
         return False
     tie_keys.add(key)
@@ -143,7 +143,7 @@ def enumerate_connected(n: int):
         _ensure_level(_CACHED_LEVELS)
         rows_of_level = _level(_levels[_CACHED_LEVELS - 1])
     for rows in rows_of_level:
-        yield Graph(n, tuple(rows))
+        yield Graph._trusted(n, tuple(rows))
 
 
 # --- bound sweeps ----------------------------------------------------------

@@ -88,6 +88,14 @@ class Graph:
             rows[v] |= 1 << u
         return cls(n, tuple(rows))
 
+    @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """Instance from rows valid by construction, skipping the checks."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -136,7 +144,7 @@ def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
         for u in bits(g.adj[v] & keep):
             row |= 1 << pos[u]
         rows.append(row)
-    return Graph(len(old), tuple(rows)), old
+    return Graph._trusted(len(old), tuple(rows)), old
 
 
 def delete_closed_neighborhood(g: Graph, s: int) -> tuple[Graph, tuple[int, ...]]:
@@ -346,9 +354,14 @@ def _canonical_search(n: int, adj, every: bool = False):
     refined color classes; the restriction is isomorphism-invariant, so equal
     codes still characterize isomorphism exactly.  ``cols[i]`` packs the
     adjacency of position ``i`` to positions ``0..i-1``, position 0 in the
-    high bit, which is graph6 column ``i``.  The search prunes only on a
-    strictly larger prefix, so the minimal labelings are exactly one
-    canonical labeling composed with each automorphism.
+    high bit, which is graph6 column ``i``.  With ``every`` the search
+    prunes only on a strictly larger prefix, so the minimal labelings are
+    exactly one canonical labeling composed with each automorphism.
+    Without it, two leaves tying the least code differ by an automorphism,
+    whose cycles are merged into a union-find of orbits, and a root in the
+    orbit of a root already tried is skipped: its subtree is an automorphic
+    image holding the same codes (orbit pruning at the root only; McKay,
+    Congr. Numer. 30, 1981).
     """
     colors = _refined_colors(n, adj)
     target = sorted(colors)
@@ -361,11 +374,21 @@ def _canonical_search(n: int, adj, every: bool = False):
     cols = [0] * n
     perm = [0] * n
     gen = 0
+    orbit = list(range(n))  # union-find parents
+    roots: list[int] = []  # the roots tried so far
+
+    def find(v: int) -> int:
+        while orbit[v] != v:
+            orbit[v] = v = orbit[orbit[v]]
+        return v
 
     def rec(i: int, placed: int, state: int) -> None:
         nonlocal best_cols, gen
         if i == n:
             if state or not every:  # a new least code, or keep only the last
+                if not state:  # a tie: leaves[-1] -> perm is an automorphism
+                    for u, v in zip(leaves[-1], perm):
+                        orbit[find(u)] = find(v)
                 best_cols = cols.copy()
                 leaves.clear()
             leaves.append(tuple(perm))
@@ -384,6 +407,10 @@ def _canonical_search(n: int, adj, every: bool = False):
         my_gen = gen
         st = state
         for c, v in scored:
+            if i == 0 and not every:
+                if any(find(r) == find(v) for r in roots):
+                    continue
+                roots.append(v)
             if st == 0 and best_cols is not None:
                 if c > best_cols[i]:
                     break

@@ -15,9 +15,9 @@ from itertools import combinations
 
 from .graph_core import (
     Graph,
+    _components_within,
     bits,
     canonical_form,
-    components,
     decode_g6,
     induced_subgraph,
     is_connected,
@@ -149,10 +149,6 @@ def parse_family(text: str) -> PatternFamily:
 # --- containment ----------------------------------------------------------
 
 
-def _has_cycle(g: Graph) -> bool:
-    return g.edge_count() > g.n - len(components(g))
-
-
 def shortest_cycle(g: Graph, within: int) -> int:
     """Vertex mask of a shortest (so chordless) cycle of ``g`` inside
     ``within``, or 0.  A BFS from each r over ``within`` above r measures
@@ -176,24 +172,31 @@ def shortest_cycle(g: Graph, within: int) -> int:
     return best
 
 
-def contains_pattern(g: Graph, f: PatternFamily) -> bool:
-    """True iff ``g`` contains some member of ``f`` as a subgraph."""
+def contains_pattern(g: Graph, f: PatternFamily, within: int | None = None) -> bool:
+    """True iff ``g``, or its subgraph induced on the mask ``within``,
+    contains some member of ``f`` as a subgraph."""
     kind = f.kind
+    if within is None:
+        within = g.full_mask
+    elif kind in (CLIQUE_KIND, CUSTOM_KIND) and within != g.full_mask:
+        g, _ = induced_subgraph(g, within)
+        within = g.full_mask
+    adj = g.adj
     if kind == K1_KIND:
-        return g.n >= 1
+        return within != 0
     if kind == K2_KIND:
-        return any(row for row in g.adj)
-    if kind == P3_KIND:
-        return any(row.bit_count() >= 2 for row in g.adj)
-    if kind == STAR_KIND:
-        return any(row.bit_count() >= f.k + 1 for row in g.adj)
+        return any(adj[v] & within for v in bits(within))
+    if kind in (P3_KIND, STAR_KIND):
+        least = 2 if kind == P3_KIND else f.k + 1
+        return any((adj[v] & within).bit_count() >= least for v in bits(within))
     if kind == ANY_CYCLE_KIND:
-        return _has_cycle(g)
+        edges = sum((adj[v] & within).bit_count() for v in bits(within)) // 2
+        return edges > within.bit_count() - len(_components_within(adj, within))
     if kind in (DIAMOND_KIND, BOOK_KIND):
         pages = 2 if kind == DIAMOND_KIND else f.k
-        for u in range(g.n):
-            for v in bits(g.adj[u] >> (u + 1) << (u + 1)):
-                if (g.adj[u] & g.adj[v]).bit_count() >= pages:
+        for u in bits(within):
+            for v in bits(adj[u] & within >> (u + 1) << (u + 1)):
+                if (adj[u] & adj[v] & within).bit_count() >= pages:
                     return True
         return False
     if kind == CLIQUE_KIND:

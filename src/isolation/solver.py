@@ -28,7 +28,6 @@ from .graph_core import (
     Graph,
     bits,
     components,
-    delete_closed_neighborhood,
     closed_neighborhood,
     induced_subgraph,
     mask_of,
@@ -58,8 +57,7 @@ class SolveResult:
 
 def is_isolating(g: Graph, f: PatternFamily, s: int) -> bool:
     """True iff deleting N[s] leaves a graph free of the family ``f``."""
-    residual, _ = delete_closed_neighborhood(g, s)
-    return not contains_pattern(residual, f)
+    return not contains_pattern(g, f, g.full_mask & ~closed_neighborhood(g, s))
 
 
 def copy_closures(g: Graph, f: PatternFamily) -> list[int]:

@@ -5,8 +5,11 @@ increasing size order; ``count_connected_classes`` counts isomorphism classes
 of connected graphs by exhaustive labeled enumeration with a permutation
 isomorphism check; ``count_automorphisms`` tries every vertex permutation;
 ``minimal_family`` and ``list_greedy`` are the plain-list definitions of the
-solver's subset filter and greedy.  None of them touches the hitting-set
-solver, the census augmentation, or the canonical-form search.
+solver's subset filter and greedy; ``contains_brute`` decides containment
+inside a vertex mask by trying injections of the pattern (a union-find
+forest for any-cycle), without ``contains_pattern`` or ``induced_subgraph``.
+None of them touches the hitting-set solver, the census augmentation, or the
+canonical-form search.
 ``networkx_graph`` hands a graph to networkx, an optional oracle that tests
 skip when it is missing.
 """
@@ -135,6 +138,55 @@ def list_greedy(sets, n):
         chosen |= 1 << v
         left = [s for s in left if not s >> v & 1]
     return chosen
+
+
+def _pattern_edges(family):
+    """Order and edge list of the one member of a finite ``family``."""
+    kind, k = family.kind, family.k
+    if kind == "k1":
+        return 1, []
+    if kind == "k2":
+        return 2, [(0, 1)]
+    if kind == "p3":
+        return 3, [(0, 1), (0, 2)]
+    if kind == "star":
+        return k + 2, [(0, i) for i in range(1, k + 2)]
+    if kind in ("diamond", "book"):
+        pages = 2 if kind == "diamond" else k
+        return pages + 2, [(0, 1)] + [(e, i) for i in range(2, pages + 2)
+                                      for e in (0, 1)]
+    if kind == "clique":
+        return k, list(combinations(range(k), 2))
+    if kind == "custom":
+        return family.pattern.n, list(family.pattern.edges())
+    raise ValueError(f"no fixed pattern for {kind!r}")
+
+
+def contains_brute(adj, within, family):
+    """Whether the graph with rows ``adj``, restricted to the vertex mask
+    ``within``, contains a member of ``family``: for any-cycle, whether some
+    edge inside ``within`` joins two vertices a union-find forest of the
+    earlier edges already connects; otherwise whether some injection of the
+    pattern's vertices into ``within`` maps every pattern edge onto an edge."""
+    verts = [v for v in range(len(adj)) if within >> v & 1]
+    if family.kind == "anycycle":
+        parent = {v: v for v in verts}
+
+        def root(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for u, v in combinations(verts, 2):
+            if adj[u] >> v & 1:
+                ru, rv = root(u), root(v)
+                if ru == rv:
+                    return True
+                parent[ru] = rv
+        return False
+    order, edges = _pattern_edges(family)
+    return any(all(adj[image[a]] >> image[b] & 1 for a, b in edges)
+               for image in permutations(verts, order))
 
 
 def networkx_graph(g):

@@ -9,6 +9,8 @@ from isolation import (
     Graph,
     bits,
     book_graph,
+    closed_neighborhood,
+    components,
     decode_g6,
     budget,
     complete_graph,
@@ -18,8 +20,10 @@ from isolation import (
     extremal_witness_15,
     iota_exact,
     is_exceptional,
+    induced_subgraph,
     is_isolating,
     isolating_set_n5,
+    mask_of,
     path_graph,
     random_connected_graph,
     y_graph,
@@ -222,14 +226,85 @@ def test_trace_serialization_roundtrip():
     assert len(text.splitlines()) == len(trace.steps)
 
 
+# Traces recorded when the recursion still built a relabeled copy of every
+# residual component; a relabeling that keeps vertex order keeps every
+# tie-break, so working on masks must reproduce them exactly.  Rows are
+# (case, depth, pivots, removed, suborders).
+GOLDEN_TRACES = {
+    "h15": [
+        ("cut:anchor", 0, [0], [0, 1, 2, 3], [11]),
+        ("cut:anchor", 1, [5], [5, 6, 7, 8], [7]),
+        ("small-order-exact", 2, [10], [4, 9, 10, 11, 12, 13, 14], []),
+    ],
+    "gadget_chain_5": [
+        ("cut:anchor", 0, [0], [0, 1, 2, 3], [21]),
+        ("cut:anchor", 1, [5], [5, 6, 7, 8], [17]),
+        ("cut:anchor", 2, [10], [10, 11, 12, 13], [13]),
+        ("cut:anchor", 3, [15], [15, 16, 17, 18], [9]),
+        ("small-order-exact", 4, [20], [4, 9, 14, 19, 20, 21, 22, 23, 24], []),
+    ],
+    "fallback": [
+        ("cut:fallback", 0, [0], [0, 1, 5, 9], [3, 3, 4]),
+        ("diamond-free", 1, [], [2, 3, 4], []),
+        ("diamond-free", 1, [], [6, 7, 8], []),
+        ("exceptional-component", 1, [10], [10, 11, 12, 13], []),
+    ],
+    "two_y_blocks": [
+        ("cut:anchor", 0, [2], [0, 1, 2, 3, 6, 18], [3, 9, 3, 9]),
+        ("diamond-free", 1, [], [4, 5, 7], []),
+        ("exceptional-component", 1, [8, 9], [8, 9, 10, 11, 12, 13, 14, 15, 16], []),
+        ("diamond-free", 1, [], [17, 19, 20], []),
+        ("exceptional-component", 1, [21, 22],
+         [21, 22, 23, 24, 25, 26, 27, 28, 29], []),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
+def test_trace_matches_the_recorded_one(name):
+    graphs = {
+        "h15": extremal_witness_15,
+        "gadget_chain_5": lambda: gadget_chain(5),
+        "fallback": lambda: decode_g6("M`Mo?CB_o??@?BOB?"),
+        # a 30-vertex block composition: two Y blocks the first cut leaves whole
+        "two_y_blocks": lambda: decode_g6(
+            "]Z?HWW??G@_B?BC@_?W@B?KK??@??G??K??F_??????_??B???B???@_???W???B???CK???WW"),
+    }
+    s, trace = isolating_set_n5(graphs[name]())
+    keys = ("case", "depth", "pivots", "removed", "suborders")
+    want = [dict(zip(keys, row)) for row in GOLDEN_TRACES[name]]
+    assert trace.to_dict() == {"steps": want}
+    assert s == trace.pivot_union()
+
+
 def test_candidate_list_is_bounded():
     rng = random.Random(505)
     for _ in range(50):
         g = random_connected_graph(rng, rng.randrange(10, 30))
         delta = max(g.adj[v].bit_count() for v in range(g.n))
-        cands = list(_pivot_candidates(g))
+        cands = list(_pivot_candidates(g, g.full_mask))
         assert len(cands) <= delta + 8
         assert len({v for v, _ in cands}) == len(cands)
+
+
+def test_candidates_on_a_residual_mask_stay_inside_it():
+    # the candidates of a residual component lie in it, and are those of the
+    # relabeled copy of that component mapped back to the input's labels
+    rng = random.Random(506)
+    for _ in range(50):
+        g = random_connected_graph(rng, rng.randrange(10, 30))
+        rest = g.full_mask & ~closed_neighborhood(g, 1 << rng.randrange(g.n))
+        rest_graph, rest_old = induced_subgraph(g, rest)
+        for comp in components(rest_graph):
+            keep = mask_of(rest_old[v] for v in bits(comp))
+            cands = list(_pivot_candidates(g, keep))
+            assert all(keep >> v & 1 for v, _ in cands)
+            assert len({v for v, _ in cands}) == len(cands)
+            delta = max((g.adj[v] & keep).bit_count() for v in bits(keep))
+            assert len(cands) <= delta + 8
+            sub, old = induced_subgraph(g, keep)
+            assert cands == [(old[v], rule)
+                             for v, rule in _pivot_candidates(sub, sub.full_mask)]
 
 
 def test_fallback_pivot_is_needed():

@@ -10,7 +10,10 @@ from isolation import (
     automorphisms,
     bits,
     canonical_form,
+    canonical_labeling,
+    circulant_graph,
     closed_neighborhood,
+    complete_bipartite_graph,
     complete_graph,
     components,
     cycle_graph,
@@ -66,6 +69,19 @@ def test_rejects_out_of_range_bits():
 def test_rejects_oversized_order():
     with pytest.raises(ValueError):
         Graph(1025, tuple([0] * 1025))
+
+
+def test_unchecked_builds_would_pass_the_checks(census):
+    # induced subgraphs and census graphs skip the constructor's checks,
+    # because their rows are valid by construction; the checks agree
+    for n in range(1, 9):
+        for g in census[n]:
+            assert Graph(g.n, g.adj) == g
+    rng = random.Random(47)
+    for _ in range(200):
+        g = random_graph(rng, rng.randrange(0, 12))
+        sub, _ = induced_subgraph(g, rng.getrandbits(g.n))
+        assert Graph(sub.n, sub.adj) == sub
 
 
 # --- closed neighborhoods ---------------------------------------------------
@@ -293,6 +309,47 @@ def test_canonical_form_agrees_with_networkx():
         assert (canonical_form(a) == canonical_form(b)) == same
         outcomes[same] += 1
     assert min(outcomes.values()) >= 100
+
+
+def symmetric_graphs():
+    """Graphs with large automorphism groups, where the canonical search
+    meets many tied leaves and skips roots by orbit."""
+    out = [complete_graph(n) for n in range(1, 8)]
+    out += [Graph(n, (0,) * n) for n in range(1, 8)]
+    out += [cycle_graph(n) for n in range(3, 13)]
+    out += [circulant_graph(n, (1, 2)) for n in range(5, 13)]
+    out += [complete_bipartite_graph(3, 4), y_graph(), extremal_witness_15()]
+    for part in (complete_graph(3), path_graph(3), cycle_graph(4),
+                 diamond_graph()):
+        out += [disjoint_union([part] * copies) for copies in (2, 3)]
+    # two claws only: below the root the search is still factorial in the
+    # order of the root's stabilizer, and three claws take seconds
+    out.append(disjoint_union([complete_bipartite_graph(1, 3)] * 2))
+    # regular, so the refined colors do not split the orbits: a root in the
+    # first color class is not canonical by itself
+    out += [disjoint_union([cycle_graph(a), cycle_graph(b)])
+            for a, b in ((3, 4), (3, 5), (4, 5))]
+    return out
+
+
+def realized_key(g, perm):
+    """graph6 bytes of ``g`` relabeled so that vertex ``perm[i]`` is ``i``."""
+    at = [0] * g.n
+    for i, v in enumerate(perm):
+        at[v] = i
+    relabeled = Graph.from_edges(g.n, [(at[u], at[v]) for u, v in g.edges()])
+    return encode_g6(relabeled).encode("ascii")
+
+
+def test_canonical_form_on_symmetric_graphs():
+    rng = random.Random(46)
+    for g in symmetric_graphs():
+        key = canonical_form(g)
+        assert realized_key(g, canonical_labeling(g)) == key
+        for _ in range(10):
+            h = shuffled(rng, g)
+            assert canonical_form(h) == key, encode_g6(g)
+            assert realized_key(h, canonical_labeling(h)) == key
 
 
 # --- automorphisms -----------------------------------------------------------

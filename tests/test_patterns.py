@@ -20,11 +20,14 @@ from isolation import (
     contains_pattern,
     custom,
     cycle_graph,
+    decode_g6,
     diamond_graph,
+    encode_g6,
     enumerate_copies,
     extremal_witness_15,
     induced_subgraph,
     is_connected,
+    is_isolating,
     make_named,
     parse_family,
     path_graph,
@@ -34,7 +37,7 @@ from isolation import (
     y_graph,
 )
 from isolation.patterns import shortest_cycle
-from oracles import disjoint_union, networkx_graph
+from oracles import contains_brute, disjoint_union, networkx_graph
 
 
 # --- family parsing ---------------------------------------------------------
@@ -136,6 +139,49 @@ def test_contains_iff_copies_nonempty(census):
         for g in census[n]:
             for f in families:
                 assert contains_pattern(g, f) == bool(enumerate_copies(g, f))
+
+
+# --- containment inside a vertex mask ----------------------------------------
+
+MASK_FAMILIES = [K1, K2, P3, DIAMOND, ANY_CYCLE, clique(3), clique(4), star(2),
+                 book(3), custom(decode_g6("Cx"))]
+
+
+def residual_mask(g, s):
+    """V(g) minus N[s], computed from the rows alone."""
+    hit = s
+    for v in range(g.n):
+        if s >> v & 1:
+            hit |= g.adj[v]
+    return g.full_mask & ~hit
+
+
+def check_masked_containment(g, within, s):
+    for f in MASK_FAMILIES:
+        assert contains_pattern(g, f, within) == contains_brute(g.adj, within, f), \
+            (encode_g6(g), within, f.label())
+        assert contains_pattern(g, f, g.full_mask) == contains_pattern(g, f)
+        assert not contains_pattern(g, f, 0)
+        left = residual_mask(g, s)
+        assert is_isolating(g, f, s) == (not contains_brute(g.adj, left, f)), \
+            (encode_g6(g), s, f.label())
+
+
+def test_masked_containment_matches_brute_force_on_the_census(census):
+    rng = random.Random(808)
+    for n in range(1, 8):
+        for g in census[n]:
+            check_masked_containment(g, rng.getrandbits(n),
+                                     rng.getrandbits(n) & rng.getrandbits(n))
+
+
+def test_masked_containment_matches_brute_force_on_random_graphs():
+    rng = random.Random(809)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        g = random_connected_graph(rng, n)
+        check_masked_containment(g, rng.getrandbits(n),
+                                 rng.getrandbits(n) & rng.getrandbits(n))
 
 
 # --- named graphs -----------------------------------------------------------

@@ -239,8 +239,11 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_attach_check(args) -> int:
-    report = attachment_invariance_suite(samples=args.samples,
-                                         max_n=args.max_n, seed=args.seed)
+    try:
+        report = attachment_invariance_suite(samples=args.samples,
+                                             max_n=args.max_n, seed=args.seed)
+    except ValueError as exc:
+        raise _UsageError(f"lemma5-check: {exc}") from None
     for v in report.violations:
         _emit({"g6": v.g6, "vertex": v.vertex, "kind": v.kind,
                "before": v.before, "after": v.after,

@@ -36,14 +36,7 @@ from .graph_core import (
     is_connected,
     mask_of,
 )
-from .patterns import (
-    DIAMOND,
-    complete_graph,
-    contains_pattern,
-    diamond_graph,
-    residual_path_pivot,
-    y_graph,
-)
+from .patterns import DIAMOND, contains_pattern, residual_path_pivot, y_graph
 from .solver import iota_exact, is_isolating
 
 
@@ -117,21 +110,23 @@ class CaseTrace:
 
 
 @cache
-def _exceptional_keys() -> dict[bytes, str]:
-    return {canonical_form(diamond_graph()): "small",
-            canonical_form(complete_graph(4)): "small",
-            canonical_form(y_graph()): "y"}
+def _y_key() -> bytes:
+    return canonical_form(y_graph())
 
 
 def _exceptional_kind(g: Graph, keep: int) -> str | None:
     """Classify the subgraph of ``g`` induced on ``keep`` up to isomorphism:
-    "small" for the diamond or K4, "y" for Y, None otherwise.  Only vertex
-    sets with the order and edge count of an exceptional graph reach the
-    canonical form."""
-    edges = sum((g.adj[v] & keep).bit_count() for v in bits(keep)) // 2
-    if (keep.bit_count(), edges) not in ((4, 5), (4, 6), (9, 18)):
+    "small" for the diamond or K4, "y" for Y, None otherwise.  Order 4 with
+    at least 5 edges is the diamond or K4; only a 4-regular 9-vertex set
+    reaches the canonical form."""
+    if keep.bit_count() not in (4, 9):
         return None
-    return _exceptional_keys().get(canonical_form(induced_subgraph(g, keep)[0]))
+    degs = [(g.adj[v] & keep).bit_count() for v in bits(keep)]
+    if len(degs) == 4:
+        return "small" if sum(degs) >= 10 else None
+    if set(degs) == {4} and canonical_form(induced_subgraph(g, keep)[0]) == _y_key():
+        return "y"
+    return None
 
 
 def is_exceptional(g: Graph) -> bool:
@@ -190,10 +185,9 @@ def _pivot_candidates(g: Graph, keep: int):
         extras.append(x)
         extras.extend(bits(adj[x] & comp))
         if rank == 1:
-            sub, old = induced_subgraph(g, comp)
-            v = residual_path_pivot(sub, old.index(x))
+            v = residual_path_pivot(g, x, comp)
             if v is not None:
-                extras.append(old[v])
+                extras.append(v)
     # a distance-2 vertex from the anchor and one of its outside neighbors
     for v in bits(rest):
         if adj[v] & region:

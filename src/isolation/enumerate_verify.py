@@ -389,6 +389,10 @@ def attachment_invariance_suite(samples: int = 500, max_n: int = 12,
     """Check on random (graph, vertex, kind) triples that attaching a pendant
     edge, a triangle, or a bridged triangle never changes the exact diamond
     isolation number."""
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
+    if max_n < 3:
+        raise ValueError(f"max_n must be at least 3, got {max_n}")
     rng = random.Random(seed)
     by_kind = {kind: 0 for kind in ATTACH_KINDS}
     violations: list[AttachViolation] = []

@@ -19,7 +19,6 @@ from .graph_core import (
     bits,
     canonical_form,
     decode_g6,
-    induced_subgraph,
     is_connected,
     mask_of,
     vertex_connectivity,
@@ -174,12 +173,10 @@ def shortest_cycle(g: Graph, within: int) -> int:
 
 def contains_pattern(g: Graph, f: PatternFamily, within: int | None = None) -> bool:
     """True iff ``g``, or its subgraph induced on the mask ``within``,
-    contains some member of ``f`` as a subgraph."""
+    contains some member of ``f`` as a subgraph.  Every family is tested in
+    place, on the rows of ``g`` restricted to ``within``."""
     kind = f.kind
     if within is None:
-        within = g.full_mask
-    elif kind in (CLIQUE_KIND, CUSTOM_KIND) and within != g.full_mask:
-        g, _ = induced_subgraph(g, within)
         within = g.full_mask
     adj = g.adj
     if kind == K1_KIND:
@@ -200,9 +197,9 @@ def contains_pattern(g: Graph, f: PatternFamily, within: int | None = None) -> b
                     return True
         return False
     if kind == CLIQUE_KIND:
-        return _find_clique(g, f.k, collect=None)
+        return _find_clique(g, f.k, None, within)
     if kind == CUSTOM_KIND:
-        return _embed(g, f.pattern, collect=None)
+        return _embed(g, f.pattern, None, within)
     raise ValueError(f"unknown pattern kind {kind!r}")
 
 
@@ -242,17 +239,15 @@ def enumerate_copies(g: Graph, f: PatternFamily) -> list[int]:
                 for combo in combinations(common, pages):
                     found.add(base | mask_of(combo))
     elif kind == CLIQUE_KIND:
-        _find_clique(g, f.k, collect=found)
+        _find_clique(g, f.k, found, g.full_mask)
     elif kind == CUSTOM_KIND:
-        _embed(g, f.pattern, collect=found)
+        _embed(g, f.pattern, found, g.full_mask)
     else:
         raise ValueError(f"unknown pattern kind {kind!r}")
     return sorted(found)
 
 
-def _find_clique(g: Graph, k: int, collect: set[int] | None) -> bool:
-    full = g.full_mask
-
+def _find_clique(g: Graph, k: int, collect: set[int] | None, within: int) -> bool:
     def extend(current: int, size: int, candidates: int) -> bool:
         if size == k:
             if collect is None:
@@ -266,14 +261,14 @@ def _find_clique(g: Graph, k: int, collect: set[int] | None) -> bool:
                 return True
         return False
 
-    return extend(0, 0, full)
+    return extend(0, 0, within)
 
 
-def _embed(g: Graph, pattern: Graph, collect: set[int] | None) -> bool:
-    """Backtracking injection of a connected pattern; pattern edges must map
-    onto host edges (extra host edges are allowed)."""
+def _embed(g: Graph, pattern: Graph, collect: set[int] | None, within: int) -> bool:
+    """Backtracking injection of a connected pattern into ``within``; pattern
+    edges must map onto host edges (extra host edges are allowed)."""
     p = pattern.n
-    if p > g.n:
+    if p > within.bit_count():
         return False
     # placement order: start anywhere, then always a vertex with a placed
     # neighbor, so candidate sets stay constrained
@@ -285,7 +280,10 @@ def _embed(g: Graph, pattern: Graph, collect: set[int] | None) -> bool:
                 order.append(v)
                 seen |= 1 << v
                 break
-    pdeg = [pattern.degree(v) for v in range(p)]
+    # host vertices of ``within`` whose degree inside it can carry order[i]
+    host_deg = {v: (g.adj[v] & within).bit_count() for v in bits(within)}
+    fits = [mask_of(v for v, d in host_deg.items() if d >= pattern.degree(pv))
+            for pv in order]
     image = [0] * p
 
     def place(i: int, used: int) -> bool:
@@ -296,12 +294,10 @@ def _embed(g: Graph, pattern: Graph, collect: set[int] | None) -> bool:
             return False
         pv = order[i]
         placed_nbrs = [j for j in range(i) if pattern.adj[pv] >> order[j] & 1]
-        cand = g.full_mask & ~used
+        cand = fits[i] & ~used
         for j in placed_nbrs:
             cand &= g.adj[image[j]]
         for hv in bits(cand):
-            if g.degree(hv) < pdeg[pv]:
-                continue
             image[i] = hv
             if place(i + 1, used | 1 << hv):
                 return True
@@ -441,15 +437,17 @@ class YPropertyReport:
                 and self.residual_path_for_every_vertex)
 
 
-def residual_path_pivot(g: Graph, u: int) -> int | None:
-    """Least vertex v other than u such that deleting u and N[v] leaves
-    exactly a 3-vertex path, or None if there is no such vertex."""
-    for v in range(g.n):
-        if v == u:
-            continue
-        keep = g.full_mask & ~(1 << u) & ~(1 << v) & ~g.adj[v]
-        sub, _ = induced_subgraph(g, keep)
-        if sub.n == 3 and sub.edge_count() == 2 and is_connected(sub):
+def residual_path_pivot(g: Graph, u: int, within: int | None = None) -> int | None:
+    """Least vertex v other than u such that deleting u and N[v] from ``g``,
+    or from its subgraph induced on the mask ``within``, leaves exactly a
+    3-vertex path, or None if there is no such vertex.  The residual is
+    checked in place: three vertices and two edges is exactly P3."""
+    if within is None:
+        within = g.full_mask
+    for v in bits(within & ~(1 << u)):
+        rest = within & ~(1 << u | 1 << v | g.adj[v])
+        if (rest.bit_count() == 3
+                and sum((g.adj[w] & rest).bit_count() for w in bits(rest)) == 4):
             return v
     return None
 

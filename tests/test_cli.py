@@ -217,6 +217,16 @@ def test_attachment_check_command(capsys):
     assert code == 0 and summary["passed"] is True and summary["samples"] == 15
 
 
+def test_attachment_check_rejects_bad_arguments(capsys):
+    for argv, word in ((["--max-n", "2"], "max_n"), (["--max-n", "-5"], "max_n"),
+                       (["--samples", "-1"], "samples"),
+                       (["--samples", "-3"], "samples")):
+        code, out, err = run(capsys, ["lemma5-check"] + argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and word in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_y_check_command(capsys):
     code, out, _ = run(capsys, ["y-check"])
     rec = json_lines(out)[0]

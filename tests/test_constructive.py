@@ -12,6 +12,7 @@ from isolation import (
     closed_neighborhood,
     components,
     decode_g6,
+    encode_g6,
     budget,
     complete_graph,
     contains_pattern,
@@ -28,8 +29,8 @@ from isolation import (
     random_connected_graph,
     y_graph,
 )
-from isolation.constructive import _pivot_candidates
-from oracles import disjoint_union
+from isolation.constructive import _exceptional_kind, _pivot_candidates
+from oracles import disjoint_union, networkx_graph
 
 
 def shuffled(rng, g):
@@ -102,6 +103,33 @@ def test_is_exceptional_up_to_isomorphism():
     for g in (cycle_graph(5), path_graph(4), book_graph(3), complete_graph(5),
               cycle_graph(9)):
         assert not is_exceptional(g)
+
+
+def test_exceptional_kind_matches_networkx(census):
+    nx = pytest.importorskip("networkx")
+    refs = [("small", networkx_graph(diamond_graph())),
+            ("small", networkx_graph(complete_graph(4))),
+            ("y", networkx_graph(y_graph()))]
+    rng = random.Random(909)
+    cases = [(g, rng.getrandbits(n)) for n in range(1, 9) for g in census[n]]
+    for seed in range(200):
+        # a 4-regular 9-vertex graph with three pendants, shuffled into 12
+        # labels; the mask is the image of the 9 regular vertices
+        h = nx.random_regular_graph(4, 9, seed=seed)
+        edges = list(h.edges()) + [(rng.randrange(9), 9 + i) for i in range(3)]
+        perm = list(range(12))
+        rng.shuffle(perm)
+        g = Graph.from_edges(12, [(perm[u], perm[v]) for u, v in edges])
+        cases += [(g, mask_of(perm[:9])), (g, g.full_mask)]
+    for base in (diamond_graph(), complete_graph(4), y_graph()):
+        cases += [(g, g.full_mask) for g in (shuffled(rng, base) for _ in range(20))]
+    seen = set()
+    for g, keep in cases:
+        sub = networkx_graph(induced_subgraph(g, keep)[0])
+        want = next((kind for kind, ref in refs if nx.is_isomorphic(sub, ref)), None)
+        assert _exceptional_kind(g, keep) == want, (encode_g6(g), keep)
+        seen.add(want)
+    assert seen == {"small", "y", None}
 
 
 def test_rejects_exceptional_inputs():

@@ -254,6 +254,14 @@ def test_attachment_suite_is_deterministic():
     assert a.by_kind == b.by_kind and a.violations == b.violations
 
 
+def test_attachment_suite_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="max_n"):
+        attachment_invariance_suite(samples=5, max_n=2)
+    with pytest.raises(ValueError, match="samples"):
+        attachment_invariance_suite(samples=-1)
+    assert attachment_invariance_suite(samples=0, max_n=3).passed
+
+
 # --- random graph helper ----------------------------------------------------------
 
 def test_random_connected_graph_contract():

@@ -9,7 +9,9 @@ from isolation import (
     K1,
     K2,
     P3,
+    Graph,
     UnsupportedFamilyError,
+    bits,
     book,
     book_graph,
     canonical_form,
@@ -36,7 +38,7 @@ from isolation import (
     verify_y_properties,
     y_graph,
 )
-from isolation.patterns import shortest_cycle
+from isolation.patterns import residual_path_pivot, shortest_cycle
 from oracles import contains_brute, disjoint_union, networkx_graph
 
 
@@ -242,6 +244,63 @@ def test_y_properties_fail_for_k4_connectivity():
 def test_y_properties_fail_for_c9_regularity():
     rep = verify_y_properties(cycle_graph(9))
     assert not rep.four_regular
+
+
+def copied_pivot(g, u, within):
+    """The residual-path pivot of u on a relabeled copy of ``within``, mapped
+    back through the index map: the copy is cut down to V - u - N[v] and that
+    residual copy is tested for being a connected 3-vertex, 2-edge graph."""
+    sub, old = induced_subgraph(g, within)
+    su = old.index(u)
+    for v in range(sub.n):
+        if v == su:
+            continue
+        rest, _ = induced_subgraph(sub, sub.full_mask & ~(1 << su | 1 << v | sub.adj[v]))
+        if rest.n == 3 and rest.edge_count() == 2 and is_connected(rest):
+            return old[v]
+    return None
+
+
+def y_blocks_on_a_core(rng):
+    """One to three shuffled Y blocks, each joined by one edge to a random
+    connected core of 2..5 vertices; returns the graph and the block masks."""
+    core = random_connected_graph(rng, rng.randint(2, 5))
+    edges, n, blocks = list(core.edges()), core.n, []
+    for _ in range(rng.randint(1, 3)):
+        perm = list(range(9))
+        rng.shuffle(perm)
+        edges += [(n + perm[u], n + perm[v]) for u, v in y_graph().edges()]
+        edges.append((rng.randrange(core.n), n + rng.randrange(9)))
+        blocks.append(((1 << 9) - 1) << n)
+        n += 9
+    return Graph.from_edges(n, edges), blocks
+
+
+def check_masked_pivot(g, within):
+    for u in bits(within):
+        assert residual_path_pivot(g, u, within) == copied_pivot(g, u, within), \
+            (encode_g6(g), within, u)
+
+
+def test_masked_pivot_matches_the_relabeled_copy_on_the_census(census):
+    rng = random.Random(810)
+    for n in range(1, 9):
+        for g in census[n]:
+            check_masked_pivot(g, rng.getrandbits(n))
+
+
+def test_masked_pivot_matches_the_relabeled_copy_on_y_blocks():
+    rng = random.Random(811)
+    found = 0
+    for _ in range(40):
+        g, blocks = y_blocks_on_a_core(rng)
+        for block in blocks:
+            check_masked_pivot(g, block)
+            found += all(residual_path_pivot(g, u, block) is not None
+                         for u in bits(block))
+        check_masked_pivot(g, g.full_mask)
+        check_masked_pivot(g, rng.getrandbits(g.n))
+    assert found > 0  # every vertex of a whole Y block has a pivot
 
 
 def test_h15_shape_gates():

@@ -123,9 +123,17 @@ def _check_vertex_set(g: Graph, s: int) -> None:
 def closed_neighborhood(g: Graph, s: int) -> int:
     """N[s]: the set ``s`` together with every neighbor of a member of ``s``."""
     _check_vertex_set(g, s)
+    return _closure(g.adj, s)
+
+
+def _closure(adj, s: int) -> int:
+    """N[s] over the adjacency rows ``adj``, unchecked: ``s`` must be a
+    vertex set of the graph, as every copy support and cycle found in it is."""
     out = s
-    for v in bits(s):
-        out |= g.adj[v]
+    while s:
+        low = s & -s
+        out |= adj[low.bit_length() - 1]
+        s ^= low
     return out
 
 

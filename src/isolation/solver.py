@@ -8,15 +8,20 @@ added until none is left (implicit hitting sets; Moreno-Centeno and Karp,
 Oper. Res. 61(2), 2013): each round's optimum is a lower bound, so the next
 round stops at the first hitting set of that size, and the last witness
 isolates.  The solver decomposes by connected components (isolation numbers
-are additive over components), uses a greedy upper bound and a
-disjoint-closure packing lower bound, and breaks every tie by least vertex
-index so results are reproducible bit for bit.
+are additive over components), uses a greedy upper bound, and breaks every
+tie by least vertex index so results are reproducible bit for bit.  Each
+branch-and-bound node is pruned by two lower bounds: a disjoint-closure
+packing, and ceil(|uncovered| / most), where ``most`` is the largest number of
+uncovered closures one selectable vertex hits.  Both prune only subtrees that
+cannot beat the incumbent, so they change the node count, never the witness.
 
 The closures are held once, transposed: bit i of ``cols[v]`` is set iff
-vertex v lies in closure i.  The subset filter, the greedy and the branch and
-bound work on masks of closure indices, so a vertex's hit count is one
-popcount and a child's uncovered closures one AND (bit-parallel search; San
-Segundo, Rodriguez-Losada and Jimenez, Comput. Oper. Res. 38(2), 2011).
+vertex v lies in closure i.  The greedy and the branch and bound work on
+masks of closure indices, so a vertex's hit count is one popcount and a
+child's uncovered closures one AND (bit-parallel search; San Segundo,
+Rodriguez-Losada and Jimenez, Comput. Oper. Res. 38(2), 2011).  The subset
+filter keeps the complement, the kept closures that miss each vertex, so a
+dense closure is tested over the few vertices outside it.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 
 from .graph_core import (
     Graph,
+    _closure,
     bits,
     components,
     closed_neighborhood,
@@ -46,7 +52,9 @@ class SolveResult:
     """Exact isolation number with a witness set (original labels) and search
     statistics: ``copies_found`` closures searched (for any-cycle, the cycle
     closures generated) and ``nodes_explored`` branch-and-bound nodes, summed
-    over the any-cycle rounds."""
+    over the any-cycle rounds.  With the hit-count bound next to the packing
+    bound, the searched tree, and so this count, is smaller than the packing
+    bound alone would give; the value and the witness are the same."""
 
     value: int
     witness: int
@@ -63,7 +71,8 @@ def is_isolating(g: Graph, f: PatternFamily, s: int) -> bool:
 def copy_closures(g: Graph, f: PatternFamily) -> list[int]:
     """Closed neighborhoods of the copy supports; hitting all of them is
     equivalent to isolating every copy."""
-    return [closed_neighborhood(g, c) for c in enumerate_copies(g, f)]
+    adj = g.adj
+    return [_closure(adj, c) for c in enumerate_copies(g, f)]
 
 
 def greedy_isolating(g: Graph, f: PatternFamily) -> int:
@@ -80,26 +89,35 @@ def greedy_isolating(g: Graph, f: PatternFamily) -> int:
 def _minimal_sets(sets: list[int], n: int) -> tuple[list[int], list[int], int]:
     """Inclusion-minimal members of ``sets``, ordered by (size, mask), with
     their incidence ``cols`` (bit i of ``cols[v]`` is set iff vertex v lies
-    in ``kept[i]``) and the mask of all kept indices."""
+    in ``kept[i]``) and the mask of all kept indices.
+
+    The filter works on the complement: ``outside[v]`` holds the kept
+    indices whose set misses v, so the kept subsets of s are the AND of
+    ``outside[v]`` over the vertices outside s.  Dense closures cover most
+    of the graph, so a test and an insertion touch only the few vertices a
+    closure misses."""
     kept: list[int] = []
-    cols = [0] * n
+    outside = [0] * n
     full = 0
+    vertices = (1 << n) - 1
     for s in sorted(set(sets), key=lambda s: (s.bit_count(), s)):
-        # kept indices with no vertex outside s, i.e. kept subsets of s
-        inside = full
-        for v in range(n):
-            if not s >> v & 1:
-                inside &= ~cols[v]
-                if not inside:
-                    break
+        missing = vertices & ~s
+        rest = missing
+        inside = full  # kept indices with no vertex outside s: subsets of s
+        while inside and rest:
+            low = rest & -rest
+            inside &= outside[low.bit_length() - 1]
+            rest ^= low
         if not inside:
             bit = 1 << len(kept)
-            for v in range(n):
-                if s >> v & 1:
-                    cols[v] |= bit
+            rest = missing
+            while rest:
+                low = rest & -rest
+                outside[low.bit_length() - 1] |= bit
+                rest ^= low
             kept.append(s)
-            full = full << 1 | 1
-    return kept, cols, full
+            full |= bit
+    return kept, [full & ~out for out in outside], full
 
 
 def _greedy_hitting(cols: list[int], uncovered: int) -> int:
@@ -140,10 +158,11 @@ def _solve_hitting(sets: list[int], n: int, lower: int) -> tuple[int, int, int]:
                 best, best_size = chosen, size
             return
         # one pass: a packing lower bound over selectable vertices (which also
-        # detects closures no longer hittable), and the fail-first pick, the
-        # closure with the fewest selectable vertices
+        # detects closures no longer hittable), the selectable vertices, and
+        # the fail-first pick, the closure with the fewest selectable vertices
         packing = 0
         used = 0
+        reach = 0
         pick, pick_count = 0, n + 1
         for i in bits(uncovered):
             s = sets[i]
@@ -153,10 +172,16 @@ def _solve_hitting(sets: list[int], n: int, lower: int) -> tuple[int, int, int]:
             if not eff & used:
                 packing += 1
                 used |= eff
+            reach |= eff
             count = eff.bit_count()
             if count < pick_count or count == pick_count and s < pick:
                 pick, pick_count = s, count
         if size + packing >= best_size:
+            return
+        # a hit-count bound: no selectable vertex hits more than `most`
+        # uncovered closures, so at least ceil(|uncovered| / most) more
+        most = max((uncovered & cols[v]).bit_count() for v in bits(reach))
+        if size - (-uncovered.bit_count() // most) >= best_size:
             return
         # try high-hit-count vertices first
         branch = sorted((-(uncovered & cols[v]).bit_count(), v)
@@ -193,10 +218,10 @@ def iota_exact(g: Graph, f: PatternFamily) -> SolveResult:
             size, local, explored = _solve_hitting(sets, sub.n, size)
             nodes += explored
             cycle = 0 if f.finite else shortest_cycle(
-                sub, sub.full_mask & ~closed_neighborhood(sub, local))
+                sub, sub.full_mask & ~_closure(sub.adj, local))
             if not cycle:
                 break
-            sets.append(closed_neighborhood(sub, cycle))
+            sets.append(_closure(sub.adj, cycle))
         copies += len(sets)
         value += size
         witness |= mask_of(old[v] for v in bits(local))

@@ -5,7 +5,8 @@ increasing size order; ``count_connected_classes`` counts isomorphism classes
 of connected graphs by exhaustive labeled enumeration with a permutation
 isomorphism check; ``count_automorphisms`` tries every vertex permutation;
 ``minimal_family`` and ``list_greedy`` are the plain-list definitions of the
-solver's subset filter and greedy; ``contains_brute`` decides containment
+solver's subset filter and greedy, and ``reference_hitting`` is the plain
+branch and bound built on them; ``contains_brute`` decides containment
 inside a vertex mask by trying injections of the pattern (a union-find
 forest for any-cycle), without ``contains_pattern`` or ``induced_subgraph``.
 None of them touches the hitting-set solver, the census augmentation, or the
@@ -138,6 +139,51 @@ def list_greedy(sets, n):
         chosen |= 1 << v
         left = [s for s in left if not s >> v & 1]
     return chosen
+
+
+def reference_hitting(sets, n, lower=0):
+    """Minimum hitting set of the vertex masks ``sets`` by a plain branch and
+    bound over lists: the inclusion-minimal sets, ``list_greedy`` as the
+    first incumbent, a disjoint packing as the only lower bound, branching on
+    the set with the fewest selectable vertices (ties to the least mask) and
+    on its vertices by decreasing hit count (ties to the least index), each
+    tried vertex banned in its later siblings.  A hitting set of size
+    ``lower`` ends the search.  Returns (size, witness mask, nodes)."""
+    family = minimal_family(sets)
+    if not family:
+        return 0, 0, 0
+    best = list_greedy(family, n)
+    state = {"best": best, "size": best.bit_count(), "nodes": 0}
+
+    def rec(chosen, size, left, banned):
+        state["nodes"] += 1
+        if not left:
+            if size < state["size"]:
+                state.update(best=chosen, size=size)
+            return
+        packing = used = 0
+        for s in left:
+            eff = s & ~banned
+            if not eff:
+                return
+            if not eff & used:
+                packing += 1
+                used |= eff
+        if size + packing >= state["size"]:
+            return
+        pick = min(left, key=lambda s: ((s & ~banned).bit_count(), s))
+        hits = {v: sum(1 for s in left if s >> v & 1)
+                for v in range(n) if pick >> v & 1 and not banned >> v & 1}
+        for v in sorted(hits, key=lambda v: (-hits[v], v)):
+            rec(chosen | 1 << v, size + 1, [s for s in left if not s >> v & 1],
+                banned)
+            if state["size"] <= lower:
+                return
+            banned |= 1 << v
+
+    if state["size"] > lower:
+        rec(0, 0, family, 0)
+    return state["size"], state["best"], state["nodes"]
 
 
 def _pattern_edges(family):

@@ -22,13 +22,20 @@ from isolation import (
     greedy_isolating,
     iota_exact,
     is_isolating,
+    mask_of,
     parse_family,
     path_graph,
     random_connected_graph,
     y_graph,
 )
-from isolation.solver import _minimal_sets
-from oracles import disjoint_union, list_greedy, minimal_family, naive_iota
+from isolation.solver import _minimal_sets, _solve_hitting
+from oracles import (
+    disjoint_union,
+    list_greedy,
+    minimal_family,
+    naive_iota,
+    reference_hitting,
+)
 
 
 # --- is_isolating -----------------------------------------------------------
@@ -258,6 +265,51 @@ def test_minimal_sets_on_census_closures(census):
         for n in range(1, 8):
             for g in census[n]:
                 _check_minimal_sets(copy_closures(g, f), g.n)
+
+
+# --- branch and bound against the plain reference search -------------------
+
+def _check_against_reference(sets, n, lower=0):
+    # the extra bounds only cut subtrees that cannot beat the incumbent, so
+    # the incumbents, and the witness, come in the same order
+    size, witness, nodes = _solve_hitting(sets, n, lower)
+    ref_size, ref_witness, ref_nodes = reference_hitting(sets, n, lower)
+    assert (size, witness) == (ref_size, ref_witness)
+    assert nodes <= ref_nodes
+    return size
+
+
+def test_search_matches_the_reference_on_random_families():
+    rng = random.Random(47)
+    for _ in range(300):
+        n = rng.randrange(1, 16)
+        sets = [mask_of(rng.sample(range(n), rng.randint(1, min(n, 5))))
+                for _ in range(rng.randrange(1, 30))]
+        size = _check_against_reference(sets, n)
+        # a proven lower bound ends the search at the first set of its size
+        _check_against_reference(sets, n, size)
+        _check_against_reference(sets, n, max(size - 1, 0))
+
+
+def test_search_matches_the_reference_on_census_closures(census):
+    for f in (DIAMOND, P3, K2):
+        for n in range(1, 8):
+            for g in census[n]:
+                _check_against_reference(copy_closures(g, f), g.n)
+
+
+def test_hit_count_bound_keeps_the_dense_n60_search_small():
+    # 792 nodes with the packing bound alone
+    res = iota_exact(random_connected_graph(random.Random(1), 60, 0.25), DIAMOND)
+    assert res.value == 3
+    assert res.nodes_explored <= 100
+
+
+def test_hit_count_bound_keeps_a_sparse_n80_search_small():
+    # 401 edges; 7,091 nodes with the packing bound alone, 401 with both
+    res = iota_exact(random_connected_graph(random.Random(4), 80, 0.1), DIAMOND)
+    assert res.value == 4
+    assert res.nodes_explored <= 802
 
 
 def test_solves_leave_no_cyclic_garbage():

@@ -202,7 +202,7 @@ def _cmd_bound(args) -> int:
     return 1
 
 
-def _run_n5(args, with_trace: bool) -> int:
+def _cmd_n5(args) -> int:
     violations = 0
     for _, g in _input_graphs(args.input):
         record = {"g6": encode_g6(g), "n": g.n, "budget": budget(g.n)}
@@ -219,7 +219,7 @@ def _run_n5(args, with_trace: bool) -> int:
             violations += 1
         else:
             record.update(set=sorted(bits(s)), size=s.bit_count(), ok=True)
-            if with_trace:
+            if args.with_trace:
                 if args.format == "json-lines":
                     record["trace"] = trace.to_dict()["steps"]
                 else:
@@ -228,14 +228,6 @@ def _run_n5(args, with_trace: bool) -> int:
                     continue
         _emit(record, args.format)
     return 1 if violations else 0
-
-
-def _cmd_n5(args) -> int:
-    return _run_n5(args, with_trace=False)
-
-
-def _cmd_trace(args) -> int:
-    return _run_n5(args, with_trace=True)
 
 
 def _cmd_attach_check(args) -> int:
@@ -339,11 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("n5", help="construct a certified size<=n//5 isolating set")
     _add_common(sp)
-    sp.set_defaults(func=_cmd_n5)
+    sp.set_defaults(func=_cmd_n5, with_trace=False)
 
     sp = subs.add_parser("trace", help="n5 plus the full construction trace")
     _add_common(sp)
-    sp.set_defaults(func=_cmd_trace)
+    sp.set_defaults(func=_cmd_n5, with_trace=True)
 
     sp = subs.add_parser("lemma5-check",
                          help="verify that pendant/triangle/bridged-triangle "
@@ -378,13 +370,7 @@ def main(argv=None) -> int:
         # what is still buffered to devnull so the flush at exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Graph6Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (_UsageError, Graph6Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -336,125 +336,152 @@ def parse_graph6_lines(lines):
 
 
 # --- canonical form -------------------------------------------------------
+#
+# Individualization-refinement (McKay, Congr. Numer. 30, 1981; McKay and
+# Piperno, J. Symb. Comput. 60, 2014).  A node is an ordered partition into
+# cells (bit masks), refined until equitable; its children individualize
+# each vertex of its first non-singleton cell.  A discrete partition is a
+# leaf, labeling the vertex of cell i as i.  No step reads vertex labels.
 
 
-def _refined_colors(n: int, adj) -> list[int]:
-    # iterated degree refinement; color ids are isomorphism-invariant because
-    # they are ranks of the (color, sorted neighbor colors) signatures
-    nbrs = [tuple(bits(adj[v])) for v in range(n)]
-    colors = [len(nb) for nb in nbrs]
-    classes = len(set(colors))
-    while True:
-        raws = [(colors[v], tuple(sorted([colors[u] for u in nb])))
-                for v, nb in enumerate(nbrs)]
-        rank = {r: i for i, r in enumerate(sorted(set(raws)))}
-        new = [rank[r] for r in raws]
-        if len(rank) == classes:
-            return new
-        colors, classes = new, len(rank)
-
-
-def _canonical_search(n: int, adj, every: bool = False):
-    """Column codes of the canonical relabeling, and the labelings attaining
-    them: every one if ``every``, else only the last one the search meets.
-
-    Minimizes the graph6 bit string over all relabelings that respect the
-    refined color classes; the restriction is isomorphism-invariant, so equal
-    codes still characterize isomorphism exactly.  ``cols[i]`` packs the
-    adjacency of position ``i`` to positions ``0..i-1``, position 0 in the
-    high bit, which is graph6 column ``i``.  With ``every`` the search
-    prunes only on a strictly larger prefix, so the minimal labelings are
-    exactly one canonical labeling composed with each automorphism.
-    Without it, two leaves tying the least code differ by an automorphism,
-    whose cycles are merged into a union-find of orbits, and a root in the
-    orbit of a root already tried is skipped: its subtree is an automorphic
-    image holding the same codes (orbit pruning at the root only; McKay,
-    Congr. Numer. 30, 1981).
-    """
-    colors = _refined_colors(n, adj)
-    target = sorted(colors)
-    by_color: dict[int, list[int]] = {}
-    for v in range(n):
-        by_color.setdefault(colors[v], []).append(v)
-
-    best_cols: list[int] | None = None
-    leaves: list[tuple[int, ...]] = []
-    cols = [0] * n
-    perm = [0] * n
-    gen = 0
-    orbit = list(range(n))  # union-find parents
-    roots: list[int] = []  # the roots tried so far
-
-    def find(v: int) -> int:
-        while orbit[v] != v:
-            orbit[v] = v = orbit[orbit[v]]
-        return v
-
-    def rec(i: int, placed: int, state: int) -> None:
-        nonlocal best_cols, gen
-        if i == n:
-            if state or not every:  # a new least code, or keep only the last
-                if not state:  # a tie: leaves[-1] -> perm is an automorphism
-                    for u, v in zip(leaves[-1], perm):
-                        orbit[find(u)] = find(v)
-                best_cols = cols.copy()
-                leaves.clear()
-            leaves.append(tuple(perm))
-            gen += 1
-            return
-        scored = []
-        for v in by_color[target[i]]:
-            if placed >> v & 1:
+def _refine(adj, cells: list[int], queue: list[int]) -> list[int]:
+    """Equitable refinement of ``cells``, equitable already for every
+    splitter not in ``queue``.  A splitter splits each cell by the neighbor
+    counts of its vertices in it, in count order (``planes[i]`` masks the
+    counts with bit ``i`` set).  All fragments but the first largest join
+    the queue (Hopcroft): their cell was a splitter already, or still is."""
+    size = sum(map(int.bit_count, cells))
+    while queue and len(cells) < size:
+        w = queue.pop()
+        planes: list[int] = []
+        for u in bits(w):
+            carry, i = adj[u], 0
+            while carry:
+                if i == len(planes):
+                    planes.append(0)
+                planes[i], carry = planes[i] ^ carry, planes[i] & carry
+                i += 1
+        touched = _closure(adj, w)  # only a cell meeting N(w) can split
+        out = []
+        for c in cells:
+            if not c & touched or not c & (c - 1):
+                out.append(c)
                 continue
-            av = adj[v]
-            c = 0
-            for j in range(i):
-                c = c << 1 | (av >> perm[j] & 1)
-            scored.append((c, v))
-        scored.sort()
-        my_gen = gen
-        st = state
-        for c, v in scored:
-            if i == 0 and not every:
-                if any(find(r) == find(v) for r in roots):
-                    continue
-                roots.append(v)
-            if st == 0 and best_cols is not None:
-                if c > best_cols[i]:
-                    break
-                ns = -1 if c < best_cols[i] else 0
-            else:
-                ns = st
-            cols[i] = c
-            perm[i] = v
-            rec(i + 1, placed | 1 << v, ns)
-            if gen != my_gen:
-                my_gen = gen
-                st = 0
+            parts = [c]
+            for plane in reversed(planes):  # the high bit first: count order
+                parts = [q for p in parts for q in (p & ~plane, p & plane) if q]
+            out += parts
+            if len(parts) > 1:
+                big = max(parts, key=int.bit_count)
+                queue += [p for p in parts if p != big]
+        cells = out
+    return cells
 
-    rec(0, 0, -1)
-    rec = None  # break the closure's self-reference: free without the gc
-    return best_cols, leaves
+
+def _leaf_cols(adj, perm) -> list[int]:
+    """graph6 column codes of the graph relabeled so that ``perm[i]`` is
+    vertex ``i``: ``cols[i]`` packs x(0,i) .. x(i-1,i), x(0,i) highest."""
+    cols = []
+    for i, v in enumerate(perm):
+        c = 0
+        for u in perm[:i]:
+            c = c << 1 | (adj[u] >> v & 1)
+        cols.append(c)
+    return cols
+
+
+def _automorphism_between(adj, p, q):
+    """The map ``gamma[p[i]] = q[i]`` and the mask of the vertices it moves,
+    or ``(None, 0)`` when it is not an automorphism."""
+    gamma = list(range(len(p)))
+    moves = 0
+    for a, b in zip(p, q):
+        if a != b:
+            gamma[a] = b
+            moves |= 1 << a
+    for v in bits(_closure(adj, moves)):  # the rows that hold or meet a moved vertex
+        moved = adj[v] & moves
+        image = adj[v] ^ moved
+        for u in bits(moved):
+            image |= 1 << gamma[u]
+        if image != adj[gamma[v]]:
+            return None, 0
+    return tuple(gamma), moves
+
+
+def _canonical_search(n: int, adj):
+    """Column codes and labeling of the least leaf, and generators of the
+    automorphism group.  A leaf with the relabeled graph of the first or
+    the least leaf gives an automorphism, and the search jumps back to where
+    the two paths split: the subtree left is an image of one searched.  A
+    child is skipped when an automorphism found fixes the node's
+    individualized vertices and the child is not the least of its cycle."""
+    full = (1 << n) - 1
+    found: list[tuple] = []  # automorphism, its fixed points, and those plus the least of each cycle
+    path: list[int] = []  # the individualized vertices of the current node
+    first = best = None  # column codes, labeling and path of the first and the least leaf
+
+    def leaf(perm: list[int], depth: int) -> int:
+        nonlocal first, best
+        if first is None:
+            first = best = _leaf_cols(adj, perm), perm, path.copy()
+            return depth - 1
+        for ref in (first, best) if best is not first else (first,):
+            gamma, moves = _automorphism_between(adj, ref[1], perm)
+            if gamma:
+                keep = full ^ moves
+                for v in bits(moves):  # the least vertex of each cycle
+                    u = gamma[v]
+                    while u > v:
+                        u = gamma[u]
+                    keep |= (u == v) << v
+                found.append((gamma, full ^ moves, keep))
+                return next(i for i, v in enumerate(ref[2]) if v != path[i])
+        cols = _leaf_cols(adj, perm)
+        if cols < best[0]:
+            best = cols, perm, path.copy()
+        return depth - 1
+
+    def node(cells: list[int], depth: int, prefix: int, t: int) -> int:
+        for t in range(t, len(cells)):  # cells[:t] are singletons, which never split
+            target = cells[t]
+            if target & (target - 1):
+                break
+        else:
+            return leaf([c.bit_length() - 1 for c in cells], depth)
+        checked = -1
+        for w in bits(target):
+            if target & ((1 << w) - 1):  # the least vertex is never skipped
+                if checked != len(found):
+                    checked, allowed = len(found), full
+                    for _, fixed, keep in found:
+                        if not prefix & ~fixed:
+                            allowed &= keep
+                if not allowed >> w & 1:
+                    continue
+            bit = 1 << w
+            path.append(w)
+            back = node(cells[:t] + _refine(adj, [bit, target ^ bit] + cells[t + 1:], [bit]),
+                        depth + 1, prefix | bit, t + 1)
+            path.pop()
+            if back < depth:
+                return back
+        return depth - 1
+
+    node(_refine(adj, [full], [full]) if n else [], 0, 0, 0)
+    node = None  # break the closure's self-reference: free without the gc
+    return best[0], best[1], [gamma for gamma, _, _ in found]
 
 
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
     """Permutation ``perm[position] = vertex`` of a canonical relabeling."""
-    return _canonical_search(g.n, g.adj)[1][-1]
+    return tuple(_canonical_search(g.n, g.adj)[1])
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """Every automorphism of ``g`` as a map ``sigma[v]``, identity first.
-
-    Read off the canonical search: two labelings with the same minimal code
-    differ by exactly one automorphism.
-    """
-    _, leaves = _canonical_search(g.n, g.adj, every=True)
-    at = [0] * g.n  # position of each vertex in the first labeling
-    for i, v in enumerate(leaves[0]):
-        at[v] = i
-    for k, leaf in enumerate(leaves):  # in place: the group can be large
-        leaves[k] = tuple([leaf[i] for i in at])
-    return leaves
+    """Generators of the automorphism group of ``g``, each a map
+    ``sigma[v]``; none when the identity is the only automorphism."""
+    return _canonical_search(g.n, g.adj)[2]
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -462,8 +489,7 @@ def canonical_form(g: Graph) -> bytes:
 
     Equal outputs hold exactly for isomorphic graphs.
     """
-    cols, _ = _canonical_search(g.n, g.adj)
-    return _pack_g6(g.n, cols).encode("ascii")
+    return _pack_g6(g.n, _canonical_search(g.n, g.adj)[0]).encode("ascii")
 
 
 # --- attachment transforms ------------------------------------------------

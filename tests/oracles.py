@@ -3,7 +3,8 @@
 ``naive_iota`` certifies isolation numbers by trying every vertex subset in
 increasing size order; ``count_connected_classes`` counts isomorphism classes
 of connected graphs by exhaustive labeled enumeration with a permutation
-isomorphism check; ``count_automorphisms`` tries every vertex permutation;
+isomorphism check; ``count_automorphisms`` tries every vertex permutation,
+and ``group_order`` closes a set of permutations under composition;
 ``minimal_family`` and ``list_greedy`` are the plain-list definitions of the
 solver's subset filter and greedy, and ``reference_hitting`` is the plain
 branch and bound built on them; ``contains_brute`` decides containment
@@ -117,6 +118,25 @@ def count_automorphisms(g):
     return sum(1 for p in permutations(range(g.n))
                if all((min(p[u], p[v]), max(p[u], p[v])) in edges
                       for u, v in edges))
+
+
+def group_order(gens, n):
+    """Order of the group of permutations of ``0..n-1`` generated by
+    ``gens``, by closing the identity under composition with each generator
+    (in a finite group every inverse is a positive power)."""
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        grown = []
+        for p in frontier:
+            for sigma in gens:
+                q = tuple([sigma[v] for v in p])
+                if q not in seen:
+                    seen.add(q)
+                    grown.append(q)
+        frontier = grown
+    return len(seen)
 
 
 def minimal_family(sets):

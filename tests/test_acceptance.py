@@ -1,10 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v``.  The order-9 exception
-census (criterion 3, about 80 s) and the order-9 class count (criterion 9,
-about 40 s) only run when ``ISOLATION_EXTENDED=1`` is set.
+census (criterion 3, about 30 s) and the order-9 class count with its stream
+digest (criterion 9, about 13 s) only run when ``ISOLATION_EXTENDED=1`` is set.
 """
 
+import hashlib
 import os
 import random
 import time
@@ -23,6 +24,7 @@ from isolation import (
     cycle_graph,
     decode_g6,
     diamond_graph,
+    encode_g6,
     enumerate_connected,
     extremal_witness_15,
     gamma,
@@ -86,7 +88,7 @@ def extended(seconds):
                f"set ISOLATION_EXTENDED=1 to run")
 
 
-@extended(80)
+@extended(30)
 def test_criterion_3_order_nine_sweep_extended():
     start = time.perf_counter()
     rep = verify_bound(enumerate_connected(9), BoundSpec(DIAMOND, 1, 5))
@@ -196,10 +198,16 @@ def test_criterion_9_census_integrity(census):
     report(f"PASS criterion 9: connected census counts for n=1..8 are {counts}")
 
 
-@extended(40)
+@extended(13)
 def test_criterion_9_order_nine_census_extended():
     start = time.perf_counter()
-    count = sum(1 for _ in enumerate_connected(9))
+    count = 0
+    digest = hashlib.sha256()  # of the graph6 lines in stream order
+    for g in enumerate_connected(9):
+        digest.update((encode_g6(g) + "\n").encode("ascii"))
+        count += 1
     assert count == 261080
+    assert digest.hexdigest() == (
+        "13d6fdfb0007b7c6cb06056d32c80b12eb0b23706cf8790b3df41062778f4e69")
     report(f"PASS criterion 9 (extended): {count} connected classes at n=9 "
            f"({time.perf_counter() - start:.0f}s)")

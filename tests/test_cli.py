@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import isolation
-from isolation import canonical_form, decode_g6, diamond_graph, encode_g6, y_graph
+from isolation import (canonical_form, cycle_graph, decode_g6, diamond_graph,
+                       encode_g6, y_graph)
 from isolation.cli import main
 
 
@@ -144,6 +146,20 @@ def test_bound_explicit_known_flag(capsys, monkeypatch):
                               "--quiet", "--allow-known", "--known", "Dhc"],
                      stdin="Dhc\n", monkeypatch=monkeypatch)
     assert code == 0
+
+
+def test_bound_known_long_cycle_returns_promptly(capsys, monkeypatch):
+    # C24 is an exception to the K1 1/4 ratio (iota 8 > 6); both --known and
+    # the exception check take its canonical form, which a search without
+    # automorphism pruning takes factorial time to find on a long cycle
+    c24 = encode_g6(cycle_graph(24))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["bound", "--family", "k1", "--ratio", "1/4",
+                                "--quiet", "--allow-known", "--known", c24],
+                       stdin=c24 + "\n", monkeypatch=monkeypatch)
+    assert code == 0
+    assert json_lines(out)[-1]["exceptions"] == [c24]
+    assert time.perf_counter() - start < 10
 
 
 def test_bound_ratio_validation(capsys):

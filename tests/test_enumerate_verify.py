@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -34,6 +35,17 @@ from oracles import count_connected_classes, disjoint_union, networkx_graph
 def test_counts_match_independent_oracle(census):
     for n in range(1, 7):
         assert len(census[n]) == count_connected_classes(n)
+
+
+def test_census_stream_is_pinned(census):
+    # the representatives and their order, not only the class counts: a
+    # change to the canonical deletion or to the orbit masks shows here
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for g in census[n]:
+            digest.update((encode_g6(g) + "\n").encode("ascii"))
+    assert digest.hexdigest() == (
+        "b87892708f651c4f57120762ac491d58d7af42f3faca12cfc326c954fa837f78")
 
 
 def test_census_covers_diamond_and_k4(census):

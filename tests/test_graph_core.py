@@ -1,4 +1,5 @@
 import random
+import time
 from math import factorial
 
 import pytest
@@ -31,7 +32,7 @@ from isolation import (
     y_graph,
     DIAMOND,
 )
-from oracles import count_automorphisms, disjoint_union, networkx_graph
+from oracles import count_automorphisms, disjoint_union, group_order, networkx_graph
 
 
 def random_graph(rng, n, p=0.4):
@@ -259,6 +260,58 @@ def test_canonical_invariant_under_relabeling():
             assert canonical_form(shuffled(rng, g)) == key
 
 
+def complement(g):
+    return Graph.from_edges(g.n, [(u, v) for u in range(g.n)
+                                  for v in range(u + 1, g.n) if not g.has_edge(u, v)])
+
+
+def blow_up(g, k, clique):
+    """Each vertex of ``g`` replaced by ``k`` twins, adjacent to each other
+    when ``clique``."""
+    edges = [(u * k + a, v * k + b) for u, v in g.edges()
+             for a in range(k) for b in range(k)]
+    if clique:
+        edges += [(u * k + a, u * k + b) for u in range(g.n)
+                  for a in range(k) for b in range(a + 1, k)]
+    return Graph.from_edges(g.n * k, edges)
+
+
+def composed_symmetric_graphs(rng):
+    """Repeated random components, unions of cycles, twin blow-ups and
+    random circulants, half of them complemented: the search meets
+    automorphisms below the first path, where a child is pruned by the
+    cycles of one automorphism."""
+    out = []
+    for i in range(120):
+        if i % 4 == 3:
+            g = disjoint_union([cycle_graph(rng.randrange(3, 9))
+                                for _ in range(rng.randrange(2, 4))])
+        elif i % 3 == 0:
+            parts = [random_graph(rng, rng.randrange(1, 6), rng.random())
+                     for _ in range(rng.randrange(1, 3))]
+            copies = [p for p in parts for _ in range(rng.randrange(1, 4))]
+            rng.shuffle(copies)
+            g = disjoint_union(copies)
+        elif i % 3 == 1:
+            g = blow_up(random_graph(rng, rng.randrange(2, 7), 0.5),
+                        rng.randrange(2, 4), rng.random() < 0.5)
+        else:
+            n = rng.randrange(5, 30)
+            g = circulant_graph(n, rng.sample(range(1, n // 2 + 1),
+                                              rng.randrange(1, min(4, n // 2) + 1)))
+        out.append(complement(g) if rng.random() < 0.5 else g)
+    return out
+
+
+def test_canonical_invariant_on_composed_symmetric_graphs():
+    rng = random.Random(48)
+    for g in composed_symmetric_graphs(rng):
+        key = canonical_form(g)
+        assert realized_key(g, canonical_labeling(g)) == key
+        for _ in range(6):
+            assert canonical_form(shuffled(rng, g)) == key, encode_g6(g)
+
+
 def test_canonical_separates_different_degree_sequences():
     rng = random.Random(43)
     seen = {}
@@ -322,9 +375,8 @@ def symmetric_graphs():
     for part in (complete_graph(3), path_graph(3), cycle_graph(4),
                  diamond_graph()):
         out += [disjoint_union([part] * copies) for copies in (2, 3)]
-    # two claws only: below the root the search is still factorial in the
-    # order of the root's stabilizer, and three claws take seconds
-    out.append(disjoint_union([complete_bipartite_graph(1, 3)] * 2))
+    out += [disjoint_union([complete_bipartite_graph(1, 3)] * copies)
+            for copies in (2, 3)]
     # regular, so the refined colors do not split the orbits: a root in the
     # first color class is not canonical by itself
     out += [disjoint_union([cycle_graph(a), cycle_graph(b)])
@@ -352,24 +404,54 @@ def test_canonical_form_on_symmetric_graphs():
             assert realized_key(h, canonical_labeling(h)) == key
 
 
+def large_symmetric_graphs():
+    """Cycles and squared cycles up to 64 vertices; complete, edgeless and
+    balanced complete bipartite graphs up to 32."""
+    out = [cycle_graph(n) for n in range(3, 65)]
+    out += [circulant_graph(n, (1, 2)) for n in range(5, 65)]
+    for n in range(1, 33):
+        out += [complete_graph(n), Graph(n, (0,) * n)]
+    out += [complete_bipartite_graph(n // 2, n - n // 2) for n in range(2, 33)]
+    return out
+
+
+def test_canonical_search_is_fast_on_large_symmetric_graphs():
+    # without automorphism pruning the search is factorial on these graphs
+    rng = random.Random(47)
+    start = time.perf_counter()
+    for g in large_symmetric_graphs():
+        key = canonical_form(g)
+        assert realized_key(g, canonical_labeling(g)) == key
+        assert canonical_form(shuffled(rng, g)) == key
+    assert time.perf_counter() - start < 10
+
+
 # --- automorphisms -----------------------------------------------------------
 
+def check_generators(g):
+    """The generators ``automorphisms`` returns, each checked to be a
+    nonidentity automorphism of ``g``."""
+    gens = automorphisms(g)
+    for sigma in gens:
+        assert sorted(sigma) == list(range(g.n))
+        assert sigma != tuple(range(g.n))
+        assert all(g.has_edge(sigma[u], sigma[v]) for u, v in g.edges())
+    return gens
+
+
 def test_automorphism_counts_of_named_graphs():
-    for n in range(1, 7):
-        assert len(automorphisms(complete_graph(n))) == factorial(n)
-    for n in range(3, 9):
-        assert len(automorphisms(cycle_graph(n))) == 2 * n
-    assert len(automorphisms(y_graph())) == 18
-    assert automorphisms(Graph(0, ())) == [()]
+    for n in range(1, 8):
+        assert group_order(check_generators(complete_graph(n)), n) == factorial(n)
+        assert group_order(check_generators(Graph(n, (0,) * n)), n) == factorial(n)
+    for n in range(3, 13):
+        assert group_order(check_generators(cycle_graph(n)), n) == 2 * n
+    assert group_order(check_generators(y_graph()), 9) == 18
+    assert automorphisms(Graph(0, ())) == []
+    assert automorphisms(path_graph(1)) == []
 
 
 def check_automorphisms(g):
-    group = automorphisms(g)
-    assert group[0] == tuple(range(g.n))
-    assert len(set(group)) == len(group) == count_automorphisms(g)
-    for sigma in group:
-        assert sorted(sigma) == list(range(g.n))
-        assert all(g.has_edge(sigma[u], sigma[v]) for u, v in g.edges())
+    assert group_order(check_generators(g), g.n) == count_automorphisms(g)
 
 
 def test_automorphisms_match_brute_force(census):

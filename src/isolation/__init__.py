@@ -9,16 +9,13 @@ from .graph_core import (
     automorphisms,
     bits,
     canonical_form,
-    canonical_labeling,
     closed_neighborhood,
     components,
     decode_g6,
-    delete_closed_neighborhood,
     encode_g6,
     induced_subgraph,
     is_connected,
     mask_of,
-    vertex_connectivity,
 )
 from .patterns import (
     ANY_CYCLE,

@@ -8,6 +8,7 @@ parse errors.  Machine output is JSON lines by default.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -249,13 +250,9 @@ def _cmd_attach_check(args) -> int:
 
 def _cmd_y_check(args) -> int:
     y = y_graph()
-    props = verify_y_properties(y)
     value = iota_exact(y, DIAMOND).value
     checks = {
-        "connectivity_is_4": props.connectivity_is_4,
-        "four_regular": props.four_regular,
-        "common_neighbors_at_most_2": props.common_neighbors_at_most_2,
-        "residual_path_for_every_vertex": props.residual_path_for_every_vertex,
+        **dataclasses.asdict(verify_y_properties(y)),
         "isolation_number_is_2": value == 2,
         "violates_fifth_bound": value > budget(y.n),
     }

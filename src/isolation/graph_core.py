@@ -10,7 +10,6 @@ keeps unions/intersections/popcounts cheap for the orders this library targets
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 MAX_VERTICES = 1024
 
@@ -155,11 +154,6 @@ def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
     return Graph._trusted(len(old), tuple(rows)), old
 
 
-def delete_closed_neighborhood(g: Graph, s: int) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on ``V(g) - N[s]`` plus the new->old index map."""
-    return induced_subgraph(g, g.full_mask & ~closed_neighborhood(g, s))
-
-
 def _component_of(adj, start: int, within: int) -> int:
     comp = 1 << start
     frontier = comp
@@ -191,29 +185,6 @@ def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
     return _component_of(g.adj, 0, g.full_mask) == g.full_mask
-
-
-def vertex_connectivity(g: Graph) -> int:
-    """Size of a minimum vertex cut; ``n - 1`` for complete graphs, 0 if
-    disconnected.
-
-    Brute-force search over cut candidates in increasing size; intended for
-    the small orders this library works at.
-    """
-    if g.n < 2:
-        raise ValueError("vertex connectivity needs at least 2 vertices")
-    if not is_connected(g):
-        return 0
-    full = g.full_mask
-    if all(row == full & ~(1 << v) for v, row in enumerate(g.adj)):
-        return g.n - 1
-    for k in range(1, g.n - 1):
-        for cut in combinations(range(g.n), k):
-            rest = full & ~mask_of(cut)
-            start = (rest & -rest).bit_length() - 1
-            if _component_of(g.adj, start, rest) != rest:
-                return k
-    return g.n - 1
 
 
 # --- graph6 codec ---------------------------------------------------------
@@ -415,67 +386,71 @@ def _canonical_search(n: int, adj):
     the least leaf gives an automorphism, and the search jumps back to where
     the two paths split: the subtree left is an image of one searched.  A
     child is skipped when an automorphism found fixes the node's
-    individualized vertices and the child is not the least of its cycle."""
+    individualized vertices and the child is not the least of its cycle.
+    The path is an explicit stack, so the depth (up to n) is not bounded by
+    Python's recursion limit."""
     full = (1 << n) - 1
     found: list[tuple] = []  # automorphism, its fixed points, and those plus the least of each cycle
-    path: list[int] = []  # the individualized vertices of the current node
     first = best = None  # column codes, labeling and path of the first and the least leaf
-
-    def leaf(perm: list[int], depth: int) -> int:
-        nonlocal first, best
-        if first is None:
-            first = best = _leaf_cols(adj, perm), perm, path.copy()
-            return depth - 1
-        for ref in (first, best) if best is not first else (first,):
-            gamma, moves = _automorphism_between(adj, ref[1], perm)
-            if gamma:
-                keep = full ^ moves
-                for v in bits(moves):  # the least vertex of each cycle
-                    u = gamma[v]
-                    while u > v:
-                        u = gamma[u]
-                    keep |= (u == v) << v
-                found.append((gamma, full ^ moves, keep))
-                return next(i for i, v in enumerate(ref[2]) if v != path[i])
-        cols = _leaf_cols(adj, perm)
-        if cols < best[0]:
-            best = cols, perm, path.copy()
-        return depth - 1
-
-    def node(cells: list[int], depth: int, prefix: int, t: int) -> int:
+    # one entry per node on the path: its cells, the index of its target cell,
+    # its individualized vertices, the target's vertices not yet tried, the
+    # child now searched, and the pruning mask with the count of `found` it covers
+    stack: list[list] = []
+    cells, t, prefix = (_refine(adj, [full], [full]) if n else []), 0, 0
+    while True:
         for t in range(t, len(cells)):  # cells[:t] are singletons, which never split
             target = cells[t]
             if target & (target - 1):
+                stack.append([cells, t, prefix, target, -1, -1, full])
                 break
-        else:
-            return leaf([c.bit_length() - 1 for c in cells], depth)
-        checked = -1
-        for w in bits(target):
-            if target & ((1 << w) - 1):  # the least vertex is never skipped
-                if checked != len(found):
-                    checked, allowed = len(found), full
-                    for _, fixed, keep in found:
-                        if not prefix & ~fixed:
-                            allowed &= keep
-                if not allowed >> w & 1:
-                    continue
+        else:  # a leaf; by default its parent goes on
+            back = len(stack) - 1
+            perm = [c.bit_length() - 1 for c in cells]
+            path = [node[4] for node in stack]
+            if first is None:
+                first = best = _leaf_cols(adj, perm), perm, path
+            else:
+                for ref in (first, best) if best is not first else (first,):
+                    gamma, moves = _automorphism_between(adj, ref[1], perm)
+                    if gamma:
+                        keep = full ^ moves
+                        for v in bits(moves):  # the least vertex of each cycle
+                            u = gamma[v]
+                            while u > v:
+                                u = gamma[u]
+                            keep |= (u == v) << v
+                        found.append((gamma, full ^ moves, keep))
+                        back = next(i for i, v in enumerate(ref[2]) if v != path[i])
+                        break
+                else:
+                    cols = _leaf_cols(adj, perm)
+                    if cols < best[0]:
+                        best = cols, perm, path
+            del stack[back + 1:]
+        while stack:  # the next child of the deepest node with one left
+            node = stack[-1]
+            cells, t, prefix, untried, _, checked, allowed = node
+            target = cells[t]
+            for w in bits(untried):
+                if target & ((1 << w) - 1):  # the least vertex is never skipped
+                    if checked != len(found):
+                        checked, allowed = len(found), full
+                        for _, fixed, keep in found:
+                            if not prefix & ~fixed:
+                                allowed &= keep
+                    if not allowed >> w & 1:
+                        continue
+                break
+            else:
+                stack.pop()
+                continue
+            node[3:] = untried >> (w + 1) << (w + 1), w, checked, allowed
             bit = 1 << w
-            path.append(w)
-            back = node(cells[:t] + _refine(adj, [bit, target ^ bit] + cells[t + 1:], [bit]),
-                        depth + 1, prefix | bit, t + 1)
-            path.pop()
-            if back < depth:
-                return back
-        return depth - 1
-
-    node(_refine(adj, [full], [full]) if n else [], 0, 0, 0)
-    node = None  # break the closure's self-reference: free without the gc
-    return best[0], best[1], [gamma for gamma, _, _ in found]
-
-
-def canonical_labeling(g: Graph) -> tuple[int, ...]:
-    """Permutation ``perm[position] = vertex`` of a canonical relabeling."""
-    return tuple(_canonical_search(g.n, g.adj)[1])
+            cells = cells[:t] + _refine(adj, [bit, target ^ bit] + cells[t + 1:], [bit])
+            t, prefix = t + 1, prefix | bit
+            break
+        else:
+            return best[0], best[1], [gamma for gamma, _, _ in found]
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:

@@ -5,7 +5,10 @@ named-graph catalog (paths, cycles, circulants, the diamond, the exceptional
 Containment is subgraph containment, not induced: ``g`` contains a pattern if
 some injection of the pattern's vertices maps every pattern edge onto an edge
 of ``g``.  A "copy" is represented by its vertex-support mask; copies are
-deduplicated by support.
+deduplicated by support.  One generator, ``_copies``, lists the copies of a
+finite family inside a vertex mask: containment asks it for a first copy and
+enumeration takes them all.  Any-cycle, whose copies are unbounded, is
+decided by comparing the edge count with that of a spanning forest.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .graph_core import (
     decode_g6,
     is_connected,
     mask_of,
-    vertex_connectivity,
 )
 
 K1_KIND = "k1"
@@ -173,103 +175,87 @@ def shortest_cycle(g: Graph, within: int) -> int:
 
 def contains_pattern(g: Graph, f: PatternFamily, within: int | None = None) -> bool:
     """True iff ``g``, or its subgraph induced on the mask ``within``,
-    contains some member of ``f`` as a subgraph.  Every family is tested in
-    place, on the rows of ``g`` restricted to ``within``."""
-    kind = f.kind
+    contains some member of ``f`` as a subgraph: some copy exists, or for
+    any-cycle, the mask holds more edges than a spanning forest."""
     if within is None:
         within = g.full_mask
-    adj = g.adj
-    if kind == K1_KIND:
-        return within != 0
-    if kind == K2_KIND:
-        return any(adj[v] & within for v in bits(within))
-    if kind in (P3_KIND, STAR_KIND):
-        least = 2 if kind == P3_KIND else f.k + 1
-        return any((adj[v] & within).bit_count() >= least for v in bits(within))
-    if kind == ANY_CYCLE_KIND:
+    if f.kind == ANY_CYCLE_KIND:
+        adj = g.adj
         edges = sum((adj[v] & within).bit_count() for v in bits(within)) // 2
         return edges > within.bit_count() - len(_components_within(adj, within))
-    if kind in (DIAMOND_KIND, BOOK_KIND):
-        pages = 2 if kind == DIAMOND_KIND else f.k
-        for u in bits(within):
-            for v in bits(adj[u] & within >> (u + 1) << (u + 1)):
-                if (adj[u] & adj[v] & within).bit_count() >= pages:
-                    return True
-        return False
-    if kind == CLIQUE_KIND:
-        return _find_clique(g, f.k, None, within)
-    if kind == CUSTOM_KIND:
-        return _embed(g, f.pattern, None, within)
-    raise ValueError(f"unknown pattern kind {kind!r}")
+    return next(_copies(g, f, within), 0) != 0
 
 
 def enumerate_copies(g: Graph, f: PatternFamily) -> list[int]:
     """Vertex-support masks of all copies of ``f`` in ``g``, deduplicated and
     sorted; raises for the (infinite) any-cycle family."""
-    kind = f.kind
     if not f.finite:
         raise UnsupportedFamilyError(
             "the any-cycle family has unbounded copies; use a structural check")
-    found: set[int] = set()
+    return sorted(set(_copies(g, f, g.full_mask)))
+
+
+def _copies(g: Graph, f: PatternFamily, within: int):
+    """Yield the vertex support of each copy of the finite family ``f`` in
+    the subgraph induced on the mask ``within``; a support may repeat.
+    Vertex lists are materialized before ``combinations``, which keeps the
+    peak memory of dense solves down."""
+    kind, adj = f.kind, g.adj
     if kind == K1_KIND:
-        found = {1 << v for v in range(g.n)}
+        for v in bits(within):
+            yield 1 << v
     elif kind == K2_KIND:
-        found = {1 << u | 1 << v for u, v in g.edges()}
+        for u in bits(within):
+            for v in bits(adj[u] & within >> (u + 1) << (u + 1)):
+                yield 1 << u | 1 << v
     elif kind == P3_KIND:
-        for c in range(g.n):
-            nbrs = list(bits(g.adj[c]))
-            for a, b in combinations(nbrs, 2):
-                found.add(1 << c | 1 << a | 1 << b)
+        for c in bits(within):
+            nbrs = adj[c] & within
+            if nbrs & (nbrs - 1):
+                for a, b in combinations(list(bits(nbrs)), 2):
+                    yield 1 << c | 1 << a | 1 << b
     elif kind == STAR_KIND:
-        leaves = f.k + 1
-        for c in range(g.n):
-            nbrs = list(bits(g.adj[c]))
-            if len(nbrs) < leaves:
-                continue
-            for combo in combinations(nbrs, leaves):
-                found.add(1 << c | mask_of(combo))
+        for c in bits(within):
+            nbrs = adj[c] & within
+            if nbrs.bit_count() > f.k:
+                for combo in combinations(list(bits(nbrs)), f.k + 1):
+                    yield 1 << c | mask_of(combo)
     elif kind in (DIAMOND_KIND, BOOK_KIND):
         pages = 2 if kind == DIAMOND_KIND else f.k
-        for u in range(g.n):
-            for v in bits(g.adj[u] >> (u + 1) << (u + 1)):
-                common = list(bits(g.adj[u] & g.adj[v]))
-                if len(common) < pages:
-                    continue
-                base = 1 << u | 1 << v
-                for combo in combinations(common, pages):
-                    found.add(base | mask_of(combo))
+        for u in bits(within):
+            for v in bits(adj[u] & within >> (u + 1) << (u + 1)):
+                common = adj[u] & adj[v] & within
+                if common.bit_count() >= pages:
+                    for combo in combinations(list(bits(common)), pages):
+                        yield 1 << u | 1 << v | mask_of(combo)
     elif kind == CLIQUE_KIND:
-        _find_clique(g, f.k, found, g.full_mask)
+        yield from _cliques(g, f.k, within)
     elif kind == CUSTOM_KIND:
-        _embed(g, f.pattern, found, g.full_mask)
+        yield from _embeddings(g, f.pattern, within)
     else:
         raise ValueError(f"unknown pattern kind {kind!r}")
-    return sorted(found)
 
 
-def _find_clique(g: Graph, k: int, collect: set[int] | None, within: int) -> bool:
-    def extend(current: int, size: int, candidates: int) -> bool:
+def _cliques(g: Graph, k: int, within: int):
+    def extend(current: int, size: int, candidates: int):
         if size == k:
-            if collect is None:
-                return True
-            collect.add(current)
-            return False
+            yield current
+            return
         for v in bits(candidates):
-            if extend(current | 1 << v,
-                      size + 1,
-                      candidates & g.adj[v] & ~((1 << (v + 1)) - 1)):
-                return True
-        return False
+            yield from extend(current | 1 << v,
+                              size + 1,
+                              candidates & g.adj[v] & ~((1 << (v + 1)) - 1))
 
     return extend(0, 0, within)
 
 
-def _embed(g: Graph, pattern: Graph, collect: set[int] | None, within: int) -> bool:
+def _embeddings(g: Graph, pattern: Graph, within: int):
     """Backtracking injection of a connected pattern into ``within``; pattern
-    edges must map onto host edges (extra host edges are allowed)."""
+    edges must map onto host edges (extra host edges are allowed).  Yields
+    the host support of each injection found."""
     p = pattern.n
     if p > within.bit_count():
-        return False
+        return
     # placement order: start anywhere, then always a vertex with a placed
     # neighbor, so candidate sets stay constrained
     order = [0]
@@ -286,12 +272,10 @@ def _embed(g: Graph, pattern: Graph, collect: set[int] | None, within: int) -> b
             for pv in order]
     image = [0] * p
 
-    def place(i: int, used: int) -> bool:
+    def place(i: int, used: int):
         if i == p:
-            if collect is None:
-                return True
-            collect.add(used)
-            return False
+            yield used
+            return
         pv = order[i]
         placed_nbrs = [j for j in range(i) if pattern.adj[pv] >> order[j] & 1]
         cand = fits[i] & ~used
@@ -299,11 +283,9 @@ def _embed(g: Graph, pattern: Graph, collect: set[int] | None, within: int) -> b
             cand &= g.adj[image[j]]
         for hv in bits(cand):
             image[i] = hv
-            if place(i + 1, used | 1 << hv):
-                return True
-        return False
+            yield from place(i + 1, used | 1 << hv)
 
-    return place(0, 0)
+    yield from place(0, 0)
 
 
 # --- named graphs ---------------------------------------------------------
@@ -452,16 +434,27 @@ def residual_path_pivot(g: Graph, u: int, within: int | None = None) -> int | No
     return None
 
 
+def _connectivity_is_4(g: Graph) -> bool:
+    """Whether ``g`` has vertex connectivity exactly 4: no set of at most 3
+    vertices disconnects it, and some set of 4 does, or ``g`` is K5 (K_n has
+    connectivity n - 1).  Only cuts of at most 4 vertices are tried."""
+
+    def cut(k: int) -> bool:
+        return any(len(_components_within(g.adj, g.full_mask & ~mask_of(c))) > 1
+                   for c in combinations(range(g.n), k))
+
+    return g.n >= 5 and not any(map(cut, range(4))) and (g.n == 5 or cut(4))
+
+
 def verify_y_properties(g: Graph) -> YPropertyReport:
     """Check the four properties of the exceptional graph Y: connectivity 4,
     4-regularity, every vertex pair sharing at most 2 neighbors, and for each
     vertex u some v whose closed neighborhood plus u leaves exactly a 3-path.
     """
-    conn4 = g.n >= 2 and is_connected(g) and vertex_connectivity(g) == 4
     regular4 = {row.bit_count() for row in g.adj} == {4}
     common_ok = all(
         (g.adj[u] & g.adj[v]).bit_count() <= 2
         for u, v in combinations(range(g.n), 2))
     residual_ok = g.n > 0 and all(
         residual_path_pivot(g, u) is not None for u in range(g.n))
-    return YPropertyReport(conn4, regular4, common_ok, residual_ok)
+    return YPropertyReport(_connectivity_is_4(g), regular4, common_ok, residual_ok)

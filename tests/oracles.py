@@ -9,7 +9,8 @@ and ``group_order`` closes a set of permutations under composition;
 solver's subset filter and greedy, and ``reference_hitting`` is the plain
 branch and bound built on them; ``contains_brute`` decides containment
 inside a vertex mask by trying injections of the pattern (a union-find
-forest for any-cycle), without ``contains_pattern`` or ``induced_subgraph``.
+forest for any-cycle), and ``copies_brute`` collects the supports of all
+such injections, both without the ``patterns`` module or ``induced_subgraph``.
 None of them touches the hitting-set solver, the census augmentation, or the
 canonical-form search.
 ``networkx_graph`` hands a graph to networkx, an optional oracle that tests
@@ -18,14 +19,21 @@ skip when it is missing.
 
 from itertools import combinations, permutations, product
 
-from isolation import Graph, contains_pattern, delete_closed_neighborhood, mask_of
+from isolation import (
+    Graph,
+    closed_neighborhood,
+    contains_pattern,
+    induced_subgraph,
+    mask_of,
+)
 
 
 def naive_iota(g, family):
     """Smallest k such that some k-subset isolates the family, by brute force."""
     for k in range(g.n + 1):
         for combo in combinations(range(g.n), k):
-            residual, _ = delete_closed_neighborhood(g, mask_of(combo))
+            left = g.full_mask & ~closed_neighborhood(g, mask_of(combo))
+            residual, _ = induced_subgraph(g, left)
             if not contains_pattern(residual, family):
                 return k
     raise AssertionError("the full vertex set always isolates")
@@ -250,9 +258,22 @@ def contains_brute(adj, within, family):
                     return True
                 parent[ru] = rv
         return False
+    return next(_injected_supports(adj, verts, family), 0) != 0
+
+
+def copies_brute(adj, within, family):
+    """Vertex supports of every injection of the pattern of the finite
+    ``family`` into the vertex mask ``within`` of the graph with rows
+    ``adj`` that maps every pattern edge onto an edge, as a set."""
+    verts = [v for v in range(len(adj)) if within >> v & 1]
+    return set(_injected_supports(adj, verts, family))
+
+
+def _injected_supports(adj, verts, family):
     order, edges = _pattern_edges(family)
-    return any(all(adj[image[a]] >> image[b] & 1 for a, b in edges)
-               for image in permutations(verts, order))
+    for image in permutations(verts, order):
+        if all(adj[image[a]] >> image[b] & 1 for a, b in edges):
+            yield sum(1 << v for v in image)
 
 
 def networkx_graph(g):

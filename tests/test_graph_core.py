@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 import time
 from math import factorial
 
@@ -11,7 +13,6 @@ from isolation import (
     automorphisms,
     bits,
     canonical_form,
-    canonical_labeling,
     circulant_graph,
     closed_neighborhood,
     complete_bipartite_graph,
@@ -19,7 +20,6 @@ from isolation import (
     components,
     cycle_graph,
     decode_g6,
-    delete_closed_neighborhood,
     diamond_graph,
     encode_g6,
     enumerate_copies,
@@ -28,10 +28,11 @@ from isolation import (
     is_connected,
     mask_of,
     path_graph,
-    vertex_connectivity,
     y_graph,
     DIAMOND,
 )
+from isolation.graph_core import _canonical_search
+from isolation.patterns import _connectivity_is_4
 from oracles import count_automorphisms, disjoint_union, group_order, networkx_graph
 
 
@@ -106,12 +107,14 @@ def test_closed_neighborhood_rejects_foreign_bits():
 
 
 def test_delete_closed_neighborhood_k4_collapses():
-    res, idx = delete_closed_neighborhood(complete_graph(4), 0b0001)
+    g = complete_graph(4)
+    res, idx = induced_subgraph(g, g.full_mask & ~closed_neighborhood(g, 0b0001))
     assert res.n == 0 and idx == ()
 
 
 def test_delete_closed_neighborhood_c6_leaves_path():
-    res, idx = delete_closed_neighborhood(cycle_graph(6), 0b000001)
+    g = cycle_graph(6)
+    res, idx = induced_subgraph(g, g.full_mask & ~closed_neighborhood(g, 0b000001))
     assert idx == (2, 3, 4)
     assert res.n == 3 and res.edge_count() == 2 and is_connected(res)
 
@@ -119,7 +122,8 @@ def test_delete_closed_neighborhood_c6_leaves_path():
 def test_delete_closed_neighborhood_h15_gadget_vertex():
     # removing the closed neighborhood of a gadget's degree-3 vertex strips
     # that gadget's diamond; frozen from the copy-enumeration oracle
-    res, _ = delete_closed_neighborhood(extremal_witness_15(), 0b1)
+    g = extremal_witness_15()
+    res, _ = induced_subgraph(g, g.full_mask & ~closed_neighborhood(g, 0b1))
     assert res.n == 11
     assert len(enumerate_copies(res, DIAMOND)) == 2
 
@@ -159,20 +163,35 @@ def test_components_partition_properties(census):
 
 
 def test_vertex_connectivity_values():
-    assert vertex_connectivity(complete_graph(4)) == 3
-    assert vertex_connectivity(cycle_graph(5)) == 2
-    assert vertex_connectivity(y_graph()) == 4
-    assert vertex_connectivity(path_graph(2)) == 1
-    assert vertex_connectivity(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])) == 1
+    # connectivity 3 (K4, K_{3,5}), 2, 1, 1 and 5 (K6, C9(1,2,3)) against 4:
+    # Y, K5, the octahedron and K_{4,5}
+    for g in (complete_graph(4), complete_bipartite_graph(3, 5), cycle_graph(5),
+              path_graph(2), Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+              complete_graph(6), circulant_graph(9, (1, 2, 3))):
+        assert not _connectivity_is_4(g), encode_g6(g)
+    for g in (y_graph(), complete_graph(5), circulant_graph(6, (1, 2)),
+              complete_bipartite_graph(4, 5)):
+        assert _connectivity_is_4(g), encode_g6(g)
 
 
-def test_vertex_connectivity_disconnected_is_zero():
-    assert vertex_connectivity(disjoint_union([path_graph(2), path_graph(2)])) == 0
+def test_vertex_connectivity_disconnected_is_not_4():
+    assert not _connectivity_is_4(disjoint_union([path_graph(2), path_graph(2)]))
+    assert not _connectivity_is_4(disjoint_union([y_graph(), complete_graph(5)]))
 
 
-def test_vertex_connectivity_needs_two_vertices():
-    with pytest.raises(ValueError):
-        vertex_connectivity(path_graph(1))
+def test_vertex_connectivity_below_five_vertices_is_not_4():
+    for n in range(5):
+        assert not _connectivity_is_4(complete_graph(n) if n else Graph(0, ()))
+
+
+def test_vertex_connectivity_matches_networkx(census):
+    nx = pytest.importorskip("networkx")
+    graphs = [g for n in range(1, 8) for g in census[n]]
+    graphs += [Graph.from_edges(n, nx.random_regular_graph(4, n, seed=seed).edges())
+               for n in range(5, 15) for seed in range(5)]
+    for g in graphs:
+        assert _connectivity_is_4(g) == (nx.node_connectivity(networkx_graph(g)) == 4), \
+            encode_g6(g)
 
 
 # --- graph6 ------------------------------------------------------------------
@@ -307,7 +326,7 @@ def test_canonical_invariant_on_composed_symmetric_graphs():
     rng = random.Random(48)
     for g in composed_symmetric_graphs(rng):
         key = canonical_form(g)
-        assert realized_key(g, canonical_labeling(g)) == key
+        assert realized_key(g, _canonical_search(g.n, g.adj)[1]) == key
         for _ in range(6):
             assert canonical_form(shuffled(rng, g)) == key, encode_g6(g)
 
@@ -397,11 +416,11 @@ def test_canonical_form_on_symmetric_graphs():
     rng = random.Random(46)
     for g in symmetric_graphs():
         key = canonical_form(g)
-        assert realized_key(g, canonical_labeling(g)) == key
+        assert realized_key(g, _canonical_search(g.n, g.adj)[1]) == key
         for _ in range(10):
             h = shuffled(rng, g)
             assert canonical_form(h) == key, encode_g6(g)
-            assert realized_key(h, canonical_labeling(h)) == key
+            assert realized_key(h, _canonical_search(h.n, h.adj)[1]) == key
 
 
 def large_symmetric_graphs():
@@ -421,9 +440,22 @@ def test_canonical_search_is_fast_on_large_symmetric_graphs():
     start = time.perf_counter()
     for g in large_symmetric_graphs():
         key = canonical_form(g)
-        assert realized_key(g, canonical_labeling(g)) == key
+        assert realized_key(g, _canonical_search(g.n, g.adj)[1]) == key
         assert canonical_form(shuffled(rng, g)) == key
     assert time.perf_counter() - start < 10
+
+
+def test_canonical_search_is_not_bounded_by_the_recursion_limit():
+    # the search goes one level deeper per individualized vertex: 298 on
+    # both graphs below
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        for g in (Graph(300, (0,) * 300), complete_graph(300)):
+            assert canonical_form(g) == encode_g6(g).encode("ascii")
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # --- automorphisms -----------------------------------------------------------

@@ -38,8 +38,8 @@ from isolation import (
     verify_y_properties,
     y_graph,
 )
-from isolation.patterns import residual_path_pivot, shortest_cycle
-from oracles import contains_brute, disjoint_union, networkx_graph
+from isolation.patterns import _copies, residual_path_pivot, shortest_cycle
+from oracles import contains_brute, copies_brute, disjoint_union, networkx_graph
 
 
 # --- family parsing ---------------------------------------------------------
@@ -184,6 +184,29 @@ def test_masked_containment_matches_brute_force_on_random_graphs():
         g = random_connected_graph(rng, n)
         check_masked_containment(g, rng.getrandbits(n),
                                  rng.getrandbits(n) & rng.getrandbits(n))
+
+
+# --- copies inside a vertex mask ----------------------------------------------
+
+FINITE_MASK_FAMILIES = [f for f in MASK_FAMILIES if f.finite]
+
+
+def test_masked_copies_match_brute_force_on_the_census(census):
+    rng = random.Random(810)
+    for n in range(1, 7):
+        for g in census[n]:
+            for within in (g.full_mask, rng.getrandbits(n), rng.getrandbits(n)):
+                for f in FINITE_MASK_FAMILIES:
+                    assert set(_copies(g, f, within)) == copies_brute(g.adj, within, f), \
+                        (encode_g6(g), within, f.label())
+
+
+def test_enumerate_copies_matches_brute_force_on_the_census(census):
+    for n in range(1, 7):
+        for g in census[n]:
+            for f in FINITE_MASK_FAMILIES:
+                assert enumerate_copies(g, f) == sorted(copies_brute(g.adj, g.full_mask, f)), \
+                    (encode_g6(g), f.label())
 
 
 # --- named graphs -----------------------------------------------------------

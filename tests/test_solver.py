@@ -14,12 +14,13 @@ from isolation import (
     circulant_graph,
     complete_graph,
     copy_closures,
+    closed_neighborhood,
     cycle_graph,
-    delete_closed_neighborhood,
     diamond_graph,
     extremal_witness_15,
     gamma,
     greedy_isolating,
+    induced_subgraph,
     iota_exact,
     is_isolating,
     mask_of,
@@ -157,7 +158,9 @@ def test_any_cycle_values():
     two_triangles = disjoint_union([complete_graph(3), complete_graph(3)])
     res = iota_exact(two_triangles, ANY_CYCLE)
     assert res.value == 2
-    residual, _ = delete_closed_neighborhood(two_triangles, res.witness)
+    residual, _ = induced_subgraph(
+        two_triangles,
+        two_triangles.full_mask & ~closed_neighborhood(two_triangles, res.witness))
     assert residual.edge_count() == residual.n - len(components(residual))
     # one triangle closure per component, each hit by the first solve
     assert res.copies_found == 2 and res.nodes_explored > 0
@@ -200,7 +203,8 @@ def test_deletion_inequality_exhaustive(census):
         for g in census[n]:
             whole = iota_exact(g, DIAMOND).value
             for v in range(n):
-                residual, _ = delete_closed_neighborhood(g, 1 << v)
+                left = g.full_mask & ~closed_neighborhood(g, 1 << v)
+                residual, _ = induced_subgraph(g, left)
                 assert whole <= 1 + iota_exact(residual, DIAMOND).value
 
 

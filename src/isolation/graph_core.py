@@ -71,9 +71,11 @@ class Graph:
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
         for v, row in enumerate(self.adj):
-            for u in bits(row):
+            while row:
+                u = (row & -row).bit_length() - 1
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+                row &= row - 1
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -139,10 +141,12 @@ def _closure(adj, s: int) -> int:
 def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced on the vertex set ``keep``, relabeled to ``0..m-1``.
 
-    Returns the compact graph and the index map ``new -> old`` so that
-    certificates can be reported in the original labels.
+    Returns the compact graph (``g`` itself for the whole vertex set) and the
+    index map ``new -> old``, so certificates name the original labels.
     """
     _check_vertex_set(g, keep)
+    if keep == g.full_mask:
+        return g, tuple(range(g.n))
     old = tuple(bits(keep))
     pos = {v: i for i, v in enumerate(old)}
     rows = []
@@ -191,17 +195,25 @@ def is_connected(g: Graph) -> bool:
 #
 # Standard printable encoding: the order n, then the upper-triangle adjacency
 # bits in column order x(0,1), x(0,2), x(1,2), x(0,3), ..., packed into 6-bit
-# groups, each offset by 63.
+# groups, each offset by 63.  Column c is the run of c bits x(0,c) .. x(c-1,c)
+# from bit c(c-1)/2 on, so each column is read or written whole.  _G6_BITS
+# maps each data character to its six bits, the high bit first.
+_G6_BITS = {63 + i: format(i, "06b") for i in range(64)}
 
 
 def encode_g6(g: Graph) -> str:
+    """graph6 text of ``g``, column by column: x(r,c) is bit c-1-r of column
+    c's code, one per set bit r of ``adj[c] & ((1 << c) - 1)``."""
     adj = g.adj
     cols = [0] * g.n
-    for col in range(1, g.n):
-        c = 0
-        for row in range(col):
-            c = c << 1 | (adj[row] >> col & 1)
-        cols[col] = c
+    for c in range(1, g.n):
+        low = adj[c] & ((1 << c) - 1)
+        code = 0
+        while low:
+            top = low & -low
+            code |= 1 << c - top.bit_length()
+            low ^= top
+        cols[c] = code
     return _pack_g6(g.n, cols)
 
 
@@ -228,7 +240,10 @@ def _pack_g6(n: int, cols) -> str:
 
 
 def decode_g6(text: str) -> Graph:
-    """Parse one graph6 line (an optional ``>>graph6<<`` header is skipped)."""
+    """Parse one graph6 line (an optional ``>>graph6<<`` header is skipped).
+    The data become one bit string and column c one slice of it, vertex c's
+    lower neighbors.  Errors, their order and offsets are those of reading
+    bit by bit: order bytes, length, first invalid character, padding."""
     s = text.strip()
     base = text.find(s) if s else 0
     if s.startswith(_G6_HEADER):
@@ -256,37 +271,30 @@ def decode_g6(text: str) -> Graph:
         idx = 4
     if n > MAX_VERTICES:
         raise Graph6Error(f"graph order {n} exceeds {MAX_VERTICES}", base)
-    need = (n * (n - 1) // 2 + 5) // 6
+    total = n * (n - 1) // 2
+    need = (total + 5) // 6
     if len(s) - idx < need:
         raise Graph6Error("truncated graph6 adjacency bits", base + len(s))
     if len(s) - idx > need:
         raise Graph6Error("trailing characters after graph6 data", base + idx + need)
+    data = s[idx:]
+    if data and (min(data) < "?" or max(data) > "~"):
+        for i in range(idx, len(s)):
+            val(i)
+    field = data.translate(_G6_BITS)
+    if "1" in field[total:]:  # padding only fills out the last character
+        raise Graph6Error("nonzero padding bits", base + len(s) - 1)
     rows = [0] * n
-    pos = 0
-    for i in range(need):
-        group = val(idx + i)
-        for b in range(5, -1, -1):
-            if pos >= n * (n - 1) // 2:
-                if group >> b & 1:
-                    raise Graph6Error("nonzero padding bits", base + idx + i)
-                continue
-            if group >> b & 1:
-                col = _g6_col(pos)
-                row = pos - col * (col - 1) // 2
-                rows[row] |= 1 << col
-                rows[col] |= 1 << row
-            pos += 1
-    return Graph(n, tuple(rows))
-
-
-def _g6_col(pos: int) -> int:
-    # column c covers bit positions c(c-1)/2 .. c(c+1)/2 - 1
-    c = int(((8 * pos + 1) ** 0.5 + 1) / 2)
-    while c * (c - 1) // 2 > pos:
-        c -= 1
-    while (c + 1) * c // 2 <= pos:
-        c += 1
-    return c
+    start = 0
+    for c in range(1, n):
+        rows[c] = low = int(field[start:start + c][::-1], 2)
+        start += c
+        bit = 1 << c
+        while low:
+            top = low & -low
+            rows[top.bit_length() - 1] |= bit
+            low ^= top
+    return Graph._trusted(n, tuple(rows))  # symmetric and loopless by construction
 
 
 def parse_graph6_lines(lines):

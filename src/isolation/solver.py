@@ -100,7 +100,7 @@ def _minimal_sets(sets: list[int], n: int) -> tuple[list[int], list[int], int]:
     outside = [0] * n
     full = 0
     vertices = (1 << n) - 1
-    for s in sorted(set(sets), key=lambda s: (s.bit_count(), s)):
+    for s in sorted(sorted(set(sets)), key=int.bit_count):  # stable: by (size, mask)
         missing = vertices & ~s
         rest = missing
         inside = full  # kept indices with no vertex outside s: subsets of s
@@ -224,7 +224,7 @@ def iota_exact(g: Graph, f: PatternFamily) -> SolveResult:
             sets.append(_closure(sub.adj, cycle))
         copies += len(sets)
         value += size
-        witness |= mask_of(old[v] for v in bits(local))
+        witness |= local if sub is g else mask_of(old[v] for v in bits(local))
     return SolveResult(value, witness, copies, nodes, time.perf_counter() - start)
 
 

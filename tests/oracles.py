@@ -11,6 +11,9 @@ branch and bound built on them; ``contains_brute`` decides containment
 inside a vertex mask by trying injections of the pattern (a union-find
 forest for any-cycle), and ``copies_brute`` collects the supports of all
 such injections, both without the ``patterns`` module or ``induced_subgraph``.
+``decode_g6_reference`` is the plain graph6 reader: one step per
+upper-triangle bit, with the same checks, messages and offsets as the
+library's column-wise ``decode_g6``.
 None of them touches the hitting-set solver, the census augmentation, or the
 canonical-form search.
 ``networkx_graph`` hands a graph to networkx, an optional oracle that tests
@@ -21,6 +24,7 @@ from itertools import combinations, permutations, product
 
 from isolation import (
     Graph,
+    Graph6Error,
     closed_neighborhood,
     contains_pattern,
     induced_subgraph,
@@ -274,6 +278,61 @@ def _injected_supports(adj, verts, family):
     for image in permutations(verts, order):
         if all(adj[image[a]] >> image[b] & 1 for a, b in edges):
             yield sum(1 << v for v in image)
+
+
+def decode_g6_reference(text):
+    """Adjacency rows of one graph6 line, read bit by bit in the order
+    x(0,1), x(0,2), x(1,2), x(0,3), ...; raises ``Graph6Error`` exactly where
+    ``decode_g6`` does, with the same message and offset."""
+    header = ">>graph6<<"
+    s = text.strip()
+    base = text.find(s) if s else 0
+    if s.startswith(header):
+        s = s[len(header):]
+        base += len(header)
+    if not s:
+        raise Graph6Error("empty graph6 string", base)
+
+    def val(i):
+        c = ord(s[i])
+        if not 63 <= c <= 126:
+            raise Graph6Error(f"invalid graph6 character {s[i]!r}", base + i)
+        return c - 63
+
+    if val(0) < 63:
+        n = val(0)
+        idx = 1
+    else:
+        if len(s) >= 2 and s[1] == "~":
+            raise Graph6Error("graph order beyond supported range", base + 1)
+        if len(s) < 4:
+            raise Graph6Error("truncated graph6 order", base + len(s))
+        n = val(1) << 12 | val(2) << 6 | val(3)
+        idx = 4
+    if n > 1024:
+        raise Graph6Error(f"graph order {n} exceeds 1024", base)
+    total = n * (n - 1) // 2
+    need = (total + 5) // 6
+    if len(s) - idx < need:
+        raise Graph6Error("truncated graph6 adjacency bits", base + len(s))
+    if len(s) - idx > need:
+        raise Graph6Error("trailing characters after graph6 data", base + idx + need)
+    rows = [0] * n
+    row, col = 0, 1
+    for i in range(need):
+        group = val(idx + i)
+        for b in range(5, -1, -1):
+            if col >= n:
+                if group >> b & 1:
+                    raise Graph6Error("nonzero padding bits", base + idx + i)
+                continue
+            if group >> b & 1:
+                rows[row] |= 1 << col
+                rows[col] |= 1 << row
+            row += 1
+            if row == col:
+                row, col = 0, col + 1
+    return tuple(rows)
 
 
 def networkx_graph(g):

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -286,3 +288,35 @@ def test_table_format_output(capsys, monkeypatch):
     code, out, _ = run(capsys, ["solve", "--format", "table"],
                        stdin="C~\n", monkeypatch=monkeypatch)
     assert code == 0 and "iota=1" in out
+
+
+# The paper's five published bounds, as the sweep benchmark runs them.
+PUBLISHED_BOUNDS = (
+    ("diamond", "1/5", ()),
+    ("k2", "1/3", ("--min-n", "3")),
+    ("p3", "2/7", ()),
+    ("anycycle", "1/4", ()),
+    ("k1", "1/2", ()),
+)
+
+# sha256 of the exit codes and the records of the five sweeps below, with
+# each record's "elapsed" removed and its keys sorted
+BOUND_SWEEP_DIGEST = "ad26a60f27876403ff27c5ee33effc746ad1b08472fd0e8ecc05b440f5f449ee"
+
+
+def test_bound_output_on_a_seeded_stream_is_pinned(capsys, monkeypatch):
+    rng = random.Random(2026)
+    text = "".join(encode_g6(isolation.random_connected_graph(rng, rng.randint(7, 11)))
+                   + "\n" for _ in range(300))
+    digest = hashlib.sha256()
+    for family, ratio, extra in PUBLISHED_BOUNDS:
+        code, out, _ = run(capsys, ["bound", "--family", family, "--ratio", ratio,
+                                    *extra, "--allow-known", "--workers", "1"],
+                           stdin=text, monkeypatch=monkeypatch)
+        records = json_lines(out)
+        assert len(records) == 301 and records[-1]["checked"] == 300
+        digest.update(f"{family} {code}\n".encode())
+        for record in records:
+            record.pop("elapsed", None)
+            digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == BOUND_SWEEP_DIGEST

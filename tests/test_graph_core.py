@@ -33,7 +33,13 @@ from isolation import (
 )
 from isolation.graph_core import _canonical_search
 from isolation.patterns import _connectivity_is_4
-from oracles import count_automorphisms, disjoint_union, group_order, networkx_graph
+from oracles import (
+    count_automorphisms,
+    decode_g6_reference,
+    disjoint_union,
+    group_order,
+    networkx_graph,
+)
 
 
 def random_graph(rng, n, p=0.4):
@@ -194,6 +200,14 @@ def test_vertex_connectivity_matches_networkx(census):
             encode_g6(g)
 
 
+def test_induced_subgraph_of_the_whole_vertex_set_is_the_identity():
+    rng = random.Random(67)
+    for n in (0, 1, 5, 12):
+        g = random_graph(rng, n)
+        sub, old = induced_subgraph(g, g.full_mask)
+        assert sub == g and old == tuple(range(n))
+
+
 # --- graph6 ------------------------------------------------------------------
 
 def test_encode_k4():
@@ -249,6 +263,51 @@ def test_decode_rejects_nonzero_padding():
 def test_decode_rejects_empty():
     with pytest.raises(Graph6Error):
         decode_g6("   ")
+
+
+def _decode_outcome(decode, line):
+    """The rows a decoder reads from ``line``, or its error message and offset."""
+    try:
+        g = decode(line)
+    except Graph6Error as exc:
+        return "error", str(exc), exc.offset
+    return "rows", g if isinstance(g, tuple) else g.adj
+
+
+def _g6_corpus(rng):
+    """Sparse and dense graphs of many orders (both order forms, with and
+    without padding bits), and lines: their encodings, then each one
+    mutated, truncated, extended and given a header."""
+    graphs = [random_graph(rng, n, p) for n in (*range(71), 100, 258, 1024)
+              for p in (0.05, 0.6)]
+    lines = [encode_g6(g) for g in graphs]
+    for line in list(lines):
+        if len(line) > 10_000:  # the order-1024 lines are decoded whole only
+            continue
+        i = rng.randrange(len(line))
+        lines.append(line[:i] + chr(rng.choice((rng.randint(0, 62), rng.randint(63, 126),
+                                                 rng.randint(127, 300)))) + line[i + 1:])
+        last = ord(line[-1]) - 63
+        lines.append(line[:-1] + chr(63 + (last ^ 1 << rng.randrange(6))))
+        lines.append(line[:rng.randrange(len(line))])
+        lines.append(line + "".join(chr(rng.randint(32, 130)) for _ in range(rng.randint(1, 3))))
+        lines.append(rng.choice(("", " ", "\t")) + ">>graph6<<" + line + rng.choice(("", "\n")))
+    lines += ["".join(chr(rng.randint(40, 130)) for _ in range(rng.randint(0, 8)))
+              for _ in range(300)]
+    return graphs, lines
+
+
+def test_decode_matches_the_bitwise_reference():
+    rng = random.Random(66)
+    graphs, corpus = _g6_corpus(rng)
+    for g, line in zip(graphs, corpus):
+        assert decode_g6(line) == g
+    errors = 0
+    for line in corpus:
+        got = _decode_outcome(decode_g6, line)
+        assert got == _decode_outcome(decode_g6_reference, line), repr(line[:80])
+        errors += got[0] == "error"
+    assert 0.3 < errors / len(corpus) < 0.9  # the corpus reaches both outcomes
 
 
 def test_parse_lines_skips_blanks_and_header():

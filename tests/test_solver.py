@@ -224,6 +224,21 @@ def test_component_additivity_on_random_unions():
             iota_exact(p, DIAMOND).value for p in parts)
 
 
+@pytest.mark.parametrize("family", [K1, K2, P3, DIAMOND, ANY_CYCLE],
+                         ids=lambda f: f.label())
+def test_union_solves_each_part_as_it_solves_it_alone(family):
+    # G alone is solved as the whole graph, with no relabeling; inside G + H
+    # both parts go through the relabeled path, H shifted by G.n
+    rng = random.Random(32)
+    for _ in range(40):
+        g = random_connected_graph(rng, rng.randint(1, 9))
+        h = random_connected_graph(rng, rng.randint(1, 9))
+        alone_g, alone_h = iota_exact(g, family), iota_exact(h, family)
+        union = iota_exact(disjoint_union([g, h]), family)
+        assert union.value == alone_g.value + alone_h.value
+        assert union.witness == alone_g.witness | alone_h.witness << g.n
+
+
 def test_hitting_reduction_matches_residual_definition():
     # S isolates every copy iff S meets every copy closure
     rng = random.Random(37)

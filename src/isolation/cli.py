@@ -26,7 +26,6 @@ from .enumerate_verify import (
     attachment_invariance_suite,
     default_known_exceptions,
     enumerate_connected,
-    exception_classes,
     verify_bound,
 )
 from .graph_core import (
@@ -95,18 +94,6 @@ def _parse_set(text: str) -> int:
         return mask_of(int(x) for x in text.split(",") if x.strip() != "")
     except ValueError:
         raise _UsageError(f"--set expects comma-separated vertices, got {text!r}") from None
-
-
-def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("ISOLATION_WORKERS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise _UsageError(f"ISOLATION_WORKERS={env!r} is not an integer") from None
-    return 1
 
 
 def _family(args):
@@ -193,14 +180,12 @@ def _cmd_bound(args) -> int:
     spec = BoundSpec(f, p, q, tuple(known), min_n=args.min_n)
     sink = (lambda rec: _emit(rec, args.format)) if not args.quiet else None
     report = verify_bound(_graphs_for_bound(args, spec.min_n), spec,
-                          workers=_workers(args),
-                          extremal_cap=args.extremal_cap, record_sink=sink)
+                          workers=args.workers, record_sink=sink)
     _emit(report.summary_dict(), args.format)
     if not report.exceptions:
         return 0
-    if args.allow_known and exception_classes(report) <= set(spec.known_exceptions):
-        return 0
-    return 1
+    found = {canonical_form(decode_g6(f.g6)) for f in report.exceptions}
+    return 0 if args.allow_known and found <= set(spec.known_exceptions) else 1
 
 
 def _cmd_n5(args) -> int:
@@ -264,9 +249,9 @@ def _cmd_y_check(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
-def _add_common(sub, fmt_default="json-lines", with_input=True, with_family=False):
+def _add_common(sub, with_input=True, with_family=False):
     sub.add_argument("--format", choices=("json-lines", "table"),
-                     default=fmt_default, help="output format")
+                     default="json-lines", help="output format")
     if with_input:
         sub.add_argument("--input", default="-", metavar="PATH",
                          help="graph6 file, or - for stdin (default)")
@@ -319,9 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="extra known exception (repeatable)")
     sp.add_argument("--allow-known", action="store_true",
                     help="exit 0 when every exception is a known one")
-    sp.add_argument("--extremal-cap", type=int, default=100, dest="extremal_cap")
-    sp.add_argument("--workers", type=int, default=None,
-                    help="parallel solvers (default ISOLATION_WORKERS or 1)")
+    sp.add_argument("--workers", type=int, default=1,
+                    help="parallel solvers (default 1)")
     sp.add_argument("--quiet", action="store_true",
                     help="emit only the summary record")
     sp.set_defaults(func=_cmd_bound)

@@ -81,9 +81,6 @@ class TraceStep:
 class CaseTrace:
     steps: list[TraceStep]
 
-    def pivot_union(self) -> int:
-        return mask_of(v for step in self.steps for v in step.pivots)
-
     def to_dict(self) -> dict:
         return {
             "steps": [
@@ -178,10 +175,8 @@ def _pivot_candidates(g: Graph, keep: int):
         ranked.append((rank, comp))
     # stable: equal ranks keep the components' order by least vertex
     for rank, comp in sorted(ranked, key=lambda t: t[0]):
-        boundary = [v for v in bits(comp) if adj[v] & region]
-        if not boundary:
-            continue
-        x = boundary[0]
+        # keep is connected, so every residual component meets the region
+        x = next(v for v in bits(comp) if adj[v] & region)
         extras.append(x)
         extras.extend(bits(adj[x] & comp))
         if rank == 1:

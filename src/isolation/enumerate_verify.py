@@ -24,6 +24,7 @@ from itertools import combinations
 from multiprocessing import Pool
 
 from .graph_core import (
+    MAX_VERTICES,
     Graph,
     _components_within,
     automorphisms,
@@ -258,7 +259,7 @@ def _iota_value(family: PatternFamily, g: Graph) -> int:
     return iota_exact(g, family).value
 
 
-def _solved_stream(graphs, family: PatternFamily, workers: int, block: int = 2048):
+def _solved_stream(graphs, family: PatternFamily, workers: int):
     solve = partial(_iota_value, family)
     if workers <= 1:
         for g in graphs:
@@ -275,7 +276,7 @@ def _solved_stream(graphs, family: PatternFamily, workers: int, block: int = 204
 
         for g in graphs:
             batch.append(g)
-            if len(batch) >= block:
+            if len(batch) >= 2048:
                 yield from flush()
                 batch = []
         if batch:
@@ -349,11 +350,6 @@ def _confirms(g: Graph, family: PatternFamily, value: int) -> bool:
     return not some_isolates(value - 1) and some_isolates(value)
 
 
-def exception_classes(report: BoundReport) -> set[bytes]:
-    """Canonical forms of the exception graphs in a report."""
-    return {canonical_form(decode_g6(f.g6)) for f in report.exceptions}
-
-
 def default_known_exceptions(family: PatternFamily, numerator: int,
                              denominator: int) -> tuple[bytes, ...]:
     """Published exceptional graphs for the classical bounds this tool can
@@ -385,6 +381,8 @@ def random_connected_graph(rng: random.Random, n: int,
     edges (default probability drawn from [0.1, 0.6])."""
     if n < 1:
         raise ValueError("graph order must be positive")
+    if n > MAX_VERTICES:  # before the O(n^2) edge loop
+        raise ValueError(f"graph order {n} exceeds {MAX_VERTICES}")
     if extra_edge_prob is None:
         extra_edge_prob = rng.uniform(0.1, 0.6)
     order = list(range(n))
@@ -429,6 +427,8 @@ def attachment_invariance_suite(samples: int = 500, max_n: int = 12,
         raise ValueError(f"samples must be nonnegative, got {samples}")
     if max_n < 3:
         raise ValueError(f"max_n must be at least 3, got {max_n}")
+    if max_n > MAX_VERTICES - 3:  # a gadget adds up to 3 vertices
+        raise ValueError(f"max_n must be at most {MAX_VERTICES - 3}, got {max_n}")
     rng = random.Random(seed)
     by_kind = {kind: 0 for kind in ATTACH_KINDS}
     violations: list[AttachViolation] = []

@@ -79,6 +79,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        if not 0 <= n <= MAX_VERTICES:  # before any row is allocated
+            raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -111,9 +113,6 @@ class Graph:
         for u in range(self.n):
             for v in bits(self.adj[u] >> (u + 1) << (u + 1)):
                 yield (u, v)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
 
 def _check_vertex_set(g: Graph, s: int) -> None:

@@ -22,6 +22,7 @@ from .graph_core import (
     bits,
     canonical_form,
     decode_g6,
+    encode_g6,
     is_connected,
     mask_of,
 )
@@ -85,8 +86,6 @@ class PatternFamily:
         if self.kind == BOOK_KIND:
             return f"book:{self.k}"
         if self.kind == CUSTOM_KIND:
-            from .graph_core import encode_g6
-
             return f"custom:{encode_g6(self.pattern)}"
         return self.kind
 
@@ -99,17 +98,19 @@ ANY_CYCLE = PatternFamily(ANY_CYCLE_KIND)
 
 
 def clique(k: int) -> PatternFamily:
-    return PatternFamily(CLIQUE_KIND, k)
+    """The clique K_k; K_1 and K_2 are ``K1`` and ``K2``."""
+    return {1: K1, 2: K2}.get(k) or PatternFamily(CLIQUE_KIND, k)
 
 
 def star(k: int) -> PatternFamily:
-    """The star K_{1,k+1}: a center with k+1 leaves."""
-    return PatternFamily(STAR_KIND, k)
+    """The star K_{1,k+1}: a center with k+1 leaves; K_{1,2} is ``P3``."""
+    return P3 if k == 1 else PatternFamily(STAR_KIND, k)
 
 
 def book(p: int) -> PatternFamily:
-    """The book B_p: p triangles sharing one common edge (B_2 is the diamond)."""
-    return PatternFamily(BOOK_KIND, p)
+    """The book B_p: p triangles sharing one common edge; B_1 is K_3 and
+    B_2 is ``DIAMOND``."""
+    return {1: clique(3), 2: DIAMOND}.get(p) or PatternFamily(BOOK_KIND, p)
 
 
 def custom(pattern: Graph) -> PatternFamily:
@@ -134,17 +135,10 @@ def parse_family(text: str) -> PatternFamily:
         k = int(rest)
     except ValueError:
         raise ValueError(f"bad parameter in family spec {text!r}") from None
-    if head == "k":
-        if k == 1:
-            return K1
-        if k == 2:
-            return K2
-        return clique(k)
-    if head == "star":
-        return star(k)
-    if head == "book":
-        return book(k)
-    raise ValueError(f"unknown pattern family {text!r}")
+    builders = {"k": clique, "star": star, "book": book}
+    if head not in builders:
+        raise ValueError(f"unknown pattern family {text!r}")
+    return builders[head](k)
 
 
 # --- containment ----------------------------------------------------------
@@ -294,18 +288,21 @@ def _embeddings(g: Graph, pattern: Graph, within: int):
 
 
 # --- named graphs ---------------------------------------------------------
+#
+# Edges go to ``Graph.from_edges`` as generators, so an order above
+# MAX_VERTICES is rejected before any edge is made.
 
 
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs at least 1 vertex")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_graph(n: int) -> Graph:
@@ -317,7 +314,7 @@ def complete_graph(n: int) -> Graph:
 def complete_bipartite_graph(p: int, q: int) -> Graph:
     if p < 1 or q < 1:
         raise ValueError("complete bipartite graph needs positive part sizes")
-    return Graph.from_edges(p + q, [(i, p + j) for i in range(p) for j in range(q)])
+    return Graph.from_edges(p + q, ((i, p + j) for i in range(p) for j in range(q)))
 
 
 def diamond_graph() -> Graph:
@@ -329,8 +326,9 @@ def book_graph(p: int) -> Graph:
     """p triangles sharing the edge 0-1; pages are vertices 2..p+1."""
     if p < 1:
         raise ValueError("book needs at least 1 page")
-    return Graph.from_edges(p + 2, [(0, 1)] + [(0, i) for i in range(2, p + 2)]
-                            + [(1, i) for i in range(2, p + 2)])
+    # the spine 0-1 (i = 1), then the page edges 0-i and 1-i
+    return Graph.from_edges(p + 2, ((e, i) for i in range(1, p + 2)
+                                    for e in range(min(i, 2))))
 
 
 def circulant_graph(n: int, offsets) -> Graph:
@@ -343,11 +341,7 @@ def circulant_graph(n: int, offsets) -> Graph:
     for d in offs:
         if not 1 <= d <= n // 2:
             raise ValueError(f"offset {d} out of range 1..{n // 2}")
-    edges = set()
-    for i in range(n):
-        for d in offs:
-            edges.add((min(i, (i + d) % n), max(i, (i + d) % n)))
-    return Graph.from_edges(n, sorted(edges))
+    return Graph.from_edges(n, ((i, (i + d) % n) for i in range(n) for d in offs))
 
 
 def y_graph() -> Graph:
@@ -416,12 +410,6 @@ class YPropertyReport:
     four_regular: bool
     common_neighbors_at_most_2: bool
     residual_path_for_every_vertex: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return (self.connectivity_is_4 and self.four_regular
-                and self.common_neighbors_at_most_2
-                and self.residual_path_for_every_vertex)
 
 
 def residual_path_pivot(g: Graph, u: int, within: int | None = None) -> int | None:

@@ -8,6 +8,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import isolation
 from isolation import (canonical_form, cycle_graph, decode_g6, diamond_graph,
                        encode_g6, y_graph)
@@ -44,6 +46,18 @@ def test_construct_json_record(capsys):
 def test_construct_unknown_name_is_usage_error(capsys):
     code, _, err = run(capsys, ["construct", "--name", "widget"])
     assert code == 2 and "--name" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--name", "complete:20000"],
+    ["lemma5-check", "--max-n", "6000"],
+])
+def test_orders_above_the_cap_fail_fast(capsys, argv):
+    # the order cap is checked before any row or edge is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert time.perf_counter() - start < 2
 
 
 # --- solve / certify ------------------------------------------------------------
@@ -181,19 +195,34 @@ def test_bound_min_n_skips_low_orders(capsys):
     assert set(summary["checked_by_n"]) == {"3", "4", "5"}
 
 
-def test_bound_workers_env(capsys, monkeypatch):
-    monkeypatch.setenv("ISOLATION_WORKERS", "2")
+def test_bound_workers_env(capsys):
+    # the pool path: two workers, results still in input order
     code, out, _ = run(capsys, ["bound", "--family", "diamond",
-                                "--ratio", "1/5", "--enumerate", "4", "--quiet",
-                                "--allow-known"])
-    assert code == 0 and json_lines(out)[-1]["checked"] == 10
+                                "--ratio", "1/5", "--enumerate", "4",
+                                "--allow-known", "--workers", "2"])
+    rows = json_lines(out)
+    assert code == 0 and rows[-1]["checked"] == 10
+    _, serial, _ = run(capsys, ["bound", "--family", "diamond", "--ratio", "1/5",
+                                "--enumerate", "4", "--allow-known"])
+    assert [r["g6"] for r in rows[:-1]] == [r["g6"] for r in json_lines(serial)[:-1]]
 
 
-def test_bound_workers_env_garbage(capsys, monkeypatch):
-    monkeypatch.setenv("ISOLATION_WORKERS", "many")
-    code, _, err = run(capsys, ["bound", "--family", "diamond",
-                                "--ratio", "1/5", "--enumerate", "3"])
-    assert code == 2 and "ISOLATION_WORKERS" in err
+@pytest.mark.parametrize("alias,ratio,label", [
+    ("book:2", "1/5", "diamond"),
+    ("star:1", "2/7", "p3"),
+    ("book:1", "1/4", "k:3"),
+])
+def test_bound_alias_spellings_share_known_exceptions(capsys, alias, ratio, label):
+    code, out, _ = run(capsys, ["bound", "--family", alias, "--ratio", ratio,
+                                "--enumerate", "6", "--quiet", "--allow-known"])
+    summary = json_lines(out)[-1]
+    assert code == 0 and summary["family"] == label and summary["exceptions"]
+
+
+def test_bound_extremal_cap_option_is_gone(capsys):
+    code, _, err = run(capsys, ["bound", "--ratio", "1/5", "--enumerate", "3",
+                                "--extremal-cap", "5"])
+    assert code == 2 and "--extremal-cap" in err
 
 
 # --- n5 and trace -------------------------------------------------------------------

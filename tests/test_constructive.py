@@ -212,7 +212,7 @@ def test_result_at_least_exact_optimum():
 
 def trace_checks(g):
     s, trace = isolating_set_n5(g)
-    assert trace.pivot_union() == s
+    assert mask_of(v for step in trace.steps for v in step.pivots) == s
     union = 0
     for step in trace.steps:
         assert not (union & step.removed), "removed regions overlap"
@@ -302,7 +302,7 @@ def test_trace_matches_the_recorded_one(name):
     keys = ("case", "depth", "pivots", "removed", "suborders")
     want = [dict(zip(keys, row)) for row in GOLDEN_TRACES[name]]
     assert trace.to_dict() == {"steps": want}
-    assert s == trace.pivot_union()
+    assert s == mask_of(v for step in trace.steps for v in step.pivots)
 
 
 def test_candidate_list_is_bounded():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -70,9 +71,18 @@ def test_parse_family_rejects_garbage(text):
         parse_family(text)
 
 
+def test_family_aliases_are_one_object():
+    assert parse_family("star:1") is P3 and star(1) is P3
+    assert parse_family("book:2") is DIAMOND and book(2) is DIAMOND
+    assert parse_family("book:1") == parse_family("k:3") == clique(3)
+    assert parse_family("book:1").label() == "k:3"
+    assert clique(1) is K1 and parse_family("k:1") is K1
+
+
 def test_family_validation():
+    assert clique(2) is K2
     with pytest.raises(ValueError):
-        clique(2)
+        clique(0)
     with pytest.raises(ValueError):
         book(0)
     with pytest.raises(ValueError):
@@ -255,13 +265,13 @@ def test_make_named_specs():
 
 
 def test_y_properties_hold_for_y():
-    assert verify_y_properties(y_graph()).all_ok
+    assert all(dataclasses.astuple(verify_y_properties(y_graph())))
 
 
 def test_y_properties_fail_for_k4_connectivity():
     rep = verify_y_properties(complete_graph(4))
     assert not rep.connectivity_is_4
-    assert not rep.all_ok
+    assert not all(dataclasses.astuple(rep))
 
 
 def test_y_properties_fail_for_c9_regularity():

@@ -39,6 +39,10 @@ CUSTOM_KIND = "custom"
 
 MAX_CUSTOM_PATTERN = 8
 
+# (kind, k) -> the one object of a family that parameter would spell again;
+# filled below the class, whose constructor refuses these parameters
+_ALIASES: dict[tuple[str, int], PatternFamily] = {}
+
 
 class UnsupportedFamilyError(ValueError):
     """Raised when an operation cannot handle an infinite pattern family."""
@@ -58,10 +62,14 @@ class PatternFamily:
     pattern_key: bytes = b""
 
     def __post_init__(self):
-        if self.kind == CLIQUE_KIND and self.k < 3:
-            raise ValueError("clique family needs k >= 3 (use K1/K2 below)")
+        if self.kind == CLIQUE_KIND and self.k < 1:
+            raise ValueError("clique family needs k >= 1")
         if self.kind in (STAR_KIND, BOOK_KIND) and self.k < 1:
             raise ValueError(f"{self.kind} family needs a positive parameter")
+        if (self.kind, self.k) in _ALIASES:
+            # one object per family: the alias is built by its public spelling
+            raise ValueError(f"{self.kind} family with parameter {self.k} is "
+                             f"another family; use {self.kind}({self.k})")
         if self.kind == CUSTOM_KIND:
             p = self.pattern
             if p is None or p.n == 0:
@@ -95,22 +103,25 @@ K2 = PatternFamily(K2_KIND)
 P3 = PatternFamily(P3_KIND)
 DIAMOND = PatternFamily(DIAMOND_KIND)
 ANY_CYCLE = PatternFamily(ANY_CYCLE_KIND)
+_ALIASES.update({(CLIQUE_KIND, 1): K1, (CLIQUE_KIND, 2): K2, (STAR_KIND, 1): P3,
+                 (BOOK_KIND, 1): PatternFamily(CLIQUE_KIND, 3),
+                 (BOOK_KIND, 2): DIAMOND})
 
 
 def clique(k: int) -> PatternFamily:
     """The clique K_k; K_1 and K_2 are ``K1`` and ``K2``."""
-    return {1: K1, 2: K2}.get(k) or PatternFamily(CLIQUE_KIND, k)
+    return _ALIASES.get((CLIQUE_KIND, k)) or PatternFamily(CLIQUE_KIND, k)
 
 
 def star(k: int) -> PatternFamily:
     """The star K_{1,k+1}: a center with k+1 leaves; K_{1,2} is ``P3``."""
-    return P3 if k == 1 else PatternFamily(STAR_KIND, k)
+    return _ALIASES.get((STAR_KIND, k)) or PatternFamily(STAR_KIND, k)
 
 
 def book(p: int) -> PatternFamily:
     """The book B_p: p triangles sharing one common edge; B_1 is K_3 and
     B_2 is ``DIAMOND``."""
-    return {1: clique(3), 2: DIAMOND}.get(p) or PatternFamily(BOOK_KIND, p)
+    return _ALIASES.get((BOOK_KIND, p)) or PatternFamily(BOOK_KIND, p)
 
 
 def custom(pattern: Graph) -> PatternFamily:

@@ -21,13 +21,20 @@ masks of closure indices, so a vertex's hit count is one popcount and a
 child's uncovered closures one AND (bit-parallel search; San Segundo,
 Rodriguez-Losada and Jimenez, Comput. Oper. Res. 38(2), 2011).  The subset
 filter keeps the complement, the kept closures that miss each vertex, so a
-dense closure is tested over the few vertices outside it.
+dense closure is tested over the few vertices outside it.  Each node selects
+its uncovered closures, and the columns of its selectable vertices, in C by
+``compress`` over a byte selector of the mask (``_select``), under 30 ns an
+element against about 200 ns for a lowest-bit loop.  The filter inserts a
+kept closure through a selector only when it misses more than ``_WIDE``
+vertices: the selector's set-up, about 1.5 us, outweighs the few loop
+iterations it would save on a narrower closure.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import compress
 
 from .graph_core import (
     Graph,
@@ -45,6 +52,19 @@ from .patterns import (
     enumerate_copies,
     shortest_cycle,
 )
+
+# bin(m) reversed and mapped b"0"/b"1" -> 0/1 bytes: byte i is bit i of m
+_SELECT = bytes.maketrans(b"01", b"\0\1")
+# a kept closure missing more vertices than this is inserted into the subset
+# filter through a selector; below it the selector's set-up costs more than
+# the lowest-bit iterations it saves
+_WIDE = 16
+
+
+def _select(m: int) -> bytes:
+    """Selector of the nonnegative mask ``m``: ``compress(seq, _select(m))``
+    yields ``seq[i]`` for each set bit i of m in increasing order, chosen in C."""
+    return bin(m).encode()[:1:-1].translate(_SELECT)
 
 
 @dataclass(frozen=True)
@@ -110,11 +130,15 @@ def _minimal_sets(sets: list[int], n: int) -> tuple[list[int], list[int], int]:
             rest ^= low
         if not inside:
             bit = 1 << len(kept)
-            rest = missing
-            while rest:
-                low = rest & -rest
-                outside[low.bit_length() - 1] |= bit
-                rest ^= low
+            if missing.bit_count() > _WIDE:
+                for v in compress(range(n), _select(missing)):
+                    outside[v] |= bit
+            else:
+                rest = missing
+                while rest:
+                    low = rest & -rest
+                    outside[low.bit_length() - 1] |= bit
+                    rest ^= low
             kept.append(s)
             full |= bit
     return kept, [full & ~out for out in outside], full
@@ -164,8 +188,7 @@ def _solve_hitting(sets: list[int], n: int, lower: int) -> tuple[int, int, int]:
         used = 0
         reach = 0
         pick, pick_count = 0, n + 1
-        for i in bits(uncovered):
-            s = sets[i]
+        for s in compress(sets, _select(uncovered)):
             eff = s & ~banned
             if not eff:
                 return
@@ -180,7 +203,8 @@ def _solve_hitting(sets: list[int], n: int, lower: int) -> tuple[int, int, int]:
             return
         # a hit-count bound: no selectable vertex hits more than `most`
         # uncovered closures, so at least ceil(|uncovered| / most) more
-        most = max((uncovered & cols[v]).bit_count() for v in bits(reach))
+        most = max([(uncovered & c).bit_count()
+                    for c in compress(cols, _select(reach))])
         if size - (-uncovered.bit_count() // most) >= best_size:
             return
         # try high-hit-count vertices first

@@ -114,6 +114,14 @@ def test_bad_family_is_usage_error(capsys, monkeypatch):
     assert code == 2 and "--family" in err
 
 
+@pytest.mark.parametrize("spec", ["k:0", "k:-2"])
+def test_small_clique_parameter_names_the_valid_range(capsys, monkeypatch, spec):
+    # k:1 and k:2 are valid spellings, so the message names k >= 1
+    code, _, err = run(capsys, ["solve", "--family", spec], stdin="C~\n",
+                       monkeypatch=monkeypatch)
+    assert code == 2 and "k >= 1" in err and "K1/K2" not in err
+
+
 # --- enumerate -------------------------------------------------------------------
 
 def test_enumerate_counts(capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from isolation import (
     K2,
     P3,
     Graph,
+    PatternFamily,
     UnsupportedFamilyError,
     bits,
     book,
@@ -77,6 +79,12 @@ def test_family_aliases_are_one_object():
     assert parse_family("book:1") == parse_family("k:3") == clique(3)
     assert parse_family("book:1").label() == "k:3"
     assert clique(1) is K1 and parse_family("k:1") is K1
+    # built directly, an alias would be a second object, unequal to the
+    # canonical one and without its known exceptions
+    for kind, k in (("book", 2), ("book", 1), ("star", 1), ("clique", 1),
+                    ("clique", 2)):
+        with pytest.raises(ValueError, match=re.escape(f"{kind}({k})")):
+            PatternFamily(kind, k)
 
 
 def test_family_validation():

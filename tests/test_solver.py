@@ -1,5 +1,6 @@
 import gc
 import random
+from itertools import compress
 
 import pytest
 
@@ -29,7 +30,8 @@ from isolation import (
     random_connected_graph,
     y_graph,
 )
-from isolation.solver import _minimal_sets, _solve_hitting
+from isolation import solver
+from isolation.solver import _WIDE, _minimal_sets, _select, _solve_hitting
 from oracles import (
     disjoint_union,
     list_greedy,
@@ -264,10 +266,31 @@ def _check_minimal_sets(sets, n):
     assert full == (1 << len(kept)) - 1
     assert cols == [sum(1 << i for i, s in enumerate(kept) if s >> v & 1)
                     for v in range(n)]
+    return kept
 
 
-def test_minimal_sets_match_the_quadratic_definition():
-    _check_minimal_sets([], 3)
+def test_selector_yields_the_set_bits():
+    rng = random.Random(53)
+    masks = [0, 1, 1 << 1023] + [rng.getrandbits(1024) for _ in range(20)]
+    for m in masks:
+        assert list(compress(range(1024), _select(m))) == list(bits(m))
+
+
+def test_minimal_sets_match_the_quadratic_definition(monkeypatch):
+    # record each selector the filter builds: one per kept set that misses
+    # more than _WIDE vertices, none for the narrow ones
+    selected = []
+    monkeypatch.setattr(solver, "_select",
+                        lambda m: selected.append(m) or _select(m))
+
+    def check(sets, n):
+        selected.clear()
+        kept = _check_minimal_sets(sets, n)
+        missing = [((1 << n) - 1) & ~s for s in kept]
+        assert selected == [m for m in missing if m.bit_count() > _WIDE]
+        return kept
+
+    check([], 3)
     rng = random.Random(29)
     for _ in range(400):
         n = rng.randrange(1, 11)
@@ -276,7 +299,23 @@ def test_minimal_sets_match_the_quadratic_definition():
         sets = base + [s | rng.randrange(1 << n) for s in base]
         sets += rng.choices(base, k=rng.randrange(len(base) + 1))
         rng.shuffle(sets)
-        _check_minimal_sets(sets, n)
+        check(sets, n)
+    # masks wider than one int digit: kept sets both sparse (inserted through
+    # the selector) and dense (missing at most _WIDE vertices), and over 60
+    # of them, so outside[v] spans several digits too
+    wide = narrow = most_kept = 0
+    for _ in range(12):
+        n = rng.randrange(65, 131)
+        base = [mask_of(rng.sample(range(n), int(n * rng.uniform(0.02, 0.97))))
+                for _ in range(rng.randrange(60, 150))]
+        sets = base + [s | rng.getrandbits(n) for s in base[::3]]
+        sets += rng.choices(base, k=10)
+        rng.shuffle(sets)
+        kept = check(sets, n)
+        most_kept = max(most_kept, len(kept))
+        wide += len(selected)
+        narrow += len(kept) - len(selected)
+    assert wide and narrow and most_kept > 60
 
 
 def test_minimal_sets_on_census_closures(census):
@@ -307,6 +346,14 @@ def test_search_matches_the_reference_on_random_families():
         size = _check_against_reference(sets, n)
         # a proven lower bound ends the search at the first set of its size
         _check_against_reference(sets, n, size)
+        _check_against_reference(sets, n, max(size - 1, 0))
+    # over 60 closures on 65..130 vertices: uncovered and reach span several
+    # int digits; dense enough that the plain reference search stays quick
+    for _ in range(8):
+        n = rng.randrange(65, 131)
+        sets = [mask_of(rng.sample(range(n), int(n * rng.uniform(0.35, 0.95))))
+                for _ in range(rng.randrange(70, 130))]
+        size = _check_against_reference(sets, n)
         _check_against_reference(sets, n, max(size - 1, 0))
 
 

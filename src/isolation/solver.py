@@ -19,15 +19,20 @@ The closures are held once, transposed: bit i of ``cols[v]`` is set iff
 vertex v lies in closure i.  The greedy and the branch and bound work on
 masks of closure indices, so a vertex's hit count is one popcount and a
 child's uncovered closures one AND (bit-parallel search; San Segundo,
-Rodriguez-Losada and Jimenez, Comput. Oper. Res. 38(2), 2011).  The subset
-filter keeps the complement, the kept closures that miss each vertex, so a
-dense closure is tested over the few vertices outside it.  Each node selects
-its uncovered closures, and the columns of its selectable vertices, in C by
-``compress`` over a byte selector of the mask (``_select``), under 30 ns an
-element against about 200 ns for a lowest-bit loop.  The filter inserts a
-kept closure through a selector only when it misses more than ``_WIDE``
-vertices: the selector's set-up, about 1.5 us, outweighs the few loop
-iterations it would save on a narrower closure.
+Rodriguez-Losada and Jimenez, Comput. Oper. Res. 38(2), 2011).  A family of
+more than ``_ROOT_GATE`` distinct closures is transposed in C (``_transpose``)
+and bounded at its root before any reduction: when the greedy over all its
+closures meets max(lower, packing, ceil(m / most)), that greedy is the
+answer and no subset filter runs.  Both bounds hold on any family, and the
+packing over the closures in (size, mask) order equals the one over the
+inclusion-minimal closures, since a superset comes after its subsets and so
+always meets the packed vertices.  Otherwise the subset filter reads the
+transposed columns, and the greedy and the search run on the minimal
+closures.  A smaller family goes straight to a loop filter, which builds its
+incidence by insertion.  Each search node selects its uncovered closures,
+and the columns of its selectable vertices, in C by ``compress`` over a byte
+selector of the mask (``_select``), under 30 ns an element against about
+200 ns for a lowest-bit loop.
 """
 
 from __future__ import annotations
@@ -55,10 +60,10 @@ from .patterns import (
 
 # bin(m) reversed and mapped b"0"/b"1" -> 0/1 bytes: byte i is bit i of m
 _SELECT = bytes.maketrans(b"01", b"\0\1")
-# a kept closure missing more vertices than this is inserted into the subset
-# filter through a selector; below it the selector's set-up costs more than
-# the lowest-bit iterations it saves
-_WIDE = 16
+# a family of more distinct closures than this is transposed and bounded at
+# its root before the subset filter; at or below it the loop filter is faster
+# (break-even at 6 to 7 closures on the sweep's graphs of order 7 to 11)
+_ROOT_GATE = 6
 
 
 def _select(m: int) -> bytes:
@@ -74,7 +79,10 @@ class SolveResult:
     closures generated) and ``nodes_explored`` branch-and-bound nodes, summed
     over the any-cycle rounds.  With the hit-count bound next to the packing
     bound, the searched tree, and so this count, is smaller than the packing
-    bound alone would give; the value and the witness are the same."""
+    bound alone would give; the value and the witness are the same.  A
+    family settled at its root, before the subset filter, counts one node,
+    the bounded root; a round whose greedy meets the proven lower bound
+    counts none."""
 
     value: int
     witness: int
@@ -99,17 +107,25 @@ def greedy_isolating(g: Graph, f: PatternFamily) -> int:
     """Valid isolating set built by repeatedly taking the vertex that hits
     the most still-uncovered closures, one per copy (ties to least index)."""
     sets = copy_closures(g, f)
-    cols = [0] * g.n
-    for i, s in enumerate(sets):
-        for v in bits(s):
-            cols[v] |= 1 << i
-    return _greedy_hitting(cols, (1 << len(sets)) - 1)
+    return _greedy_hitting(_transpose(sets, g.n), (1 << len(sets)) - 1)
 
 
-def _minimal_sets(sets: list[int], n: int) -> tuple[list[int], list[int], int]:
-    """Inclusion-minimal members of ``sets``, ordered by (size, mask), with
-    their incidence ``cols`` (bit i of ``cols[v]`` is set iff vertex v lies
-    in ``kept[i]``) and the mask of all kept indices.
+def _transpose(rows: list[int], n: int) -> list[int]:
+    """Incidence of the masks ``rows`` over n vertices: bit i of ``cols[v]``
+    is set iff vertex v lies in ``rows[i]``.  Built in C: the rows, last
+    first, are written as one string of numerals, each ``bin`` of the row
+    with a sentinel bit n, so every numeral has n + 3 characters and column
+    v is one strided slice read back by one ``int(..., 2)``."""
+    if not rows:
+        return [0] * n
+    text = "".join(map(bin, map((1 << n).__or__, reversed(rows))))
+    width = n + 3  # "0b1" and n digits, bit v at offset width - 1 - v
+    return [int(text[width - 1 - v::width], 2) for v in range(n)]
+
+
+def _minimal_sets(sets: list[int], n: int) -> tuple[list[int], list[int]]:
+    """Inclusion-minimal members of the distinct ``sets``, given in (size,
+    mask) order, with their incidence ``cols``.
 
     The filter works on the complement: ``outside[v]`` holds the kept
     indices whose set misses v, so the kept subsets of s are the AND of
@@ -120,7 +136,7 @@ def _minimal_sets(sets: list[int], n: int) -> tuple[list[int], list[int], int]:
     outside = [0] * n
     full = 0
     vertices = (1 << n) - 1
-    for s in sorted(sorted(set(sets)), key=int.bit_count):  # stable: by (size, mask)
+    for s in sets:
         missing = vertices & ~s
         rest = missing
         inside = full  # kept indices with no vertex outside s: subsets of s
@@ -130,18 +146,39 @@ def _minimal_sets(sets: list[int], n: int) -> tuple[list[int], list[int], int]:
             rest ^= low
         if not inside:
             bit = 1 << len(kept)
-            if missing.bit_count() > _WIDE:
-                for v in compress(range(n), _select(missing)):
-                    outside[v] |= bit
-            else:
-                rest = missing
-                while rest:
-                    low = rest & -rest
-                    outside[low.bit_length() - 1] |= bit
-                    rest ^= low
+            rest = missing
+            while rest:
+                low = rest & -rest
+                outside[low.bit_length() - 1] |= bit
+                rest ^= low
             kept.append(s)
             full |= bit
-    return kept, [full & ~out for out in outside], full
+    return kept, [full & ~out for out in outside]
+
+
+def _minimal_columns(sets: list[int], cols: list[int],
+                     n: int) -> tuple[list[int], list[int]]:
+    """``_minimal_sets`` for a family whose incidence ``cols`` is already
+    built.  Nothing is inserted: ``full ^ cols[v]`` already holds every index
+    whose set misses v, so the test ANDs it with the mask of indices kept so
+    far.  The kept sets are transposed afresh only when some set is dropped."""
+    full = (1 << len(sets)) - 1
+    outside = [full ^ c for c in cols]
+    vertices = (1 << n) - 1
+    kept = 0
+    for i, s in enumerate(sets):
+        rest = vertices & ~s
+        inside = kept
+        while inside and rest:
+            low = rest & -rest
+            inside &= outside[low.bit_length() - 1]
+            rest ^= low
+        if not inside:
+            kept |= 1 << i
+    if kept == full:
+        return sets, cols
+    sets = list(compress(sets, _select(kept)))
+    return sets, _transpose(sets, n)
 
 
 def _greedy_hitting(cols: list[int], uncovered: int) -> int:
@@ -159,6 +196,28 @@ def _greedy_hitting(cols: list[int], uncovered: int) -> int:
     return chosen
 
 
+def _settle_root(sets: list[int], cols: list[int],
+                 lower: int) -> tuple[int, int, int] | None:
+    """(size, witness, nodes) of the greedy over the distinct ``sets``, in
+    (size, mask) order with incidence ``cols``, if it meets the root bound
+    max(``lower``, disjoint packing, ceil(|sets| / most)); else None.  The
+    packing equals the one over the minimal sets: a superset comes after its
+    subsets, so it always meets ``used``."""
+    m = len(sets)
+    best = _greedy_hitting(cols, (1 << m) - 1)
+    size = best.bit_count()
+    if size <= lower:
+        return size, best, 0
+    packing = used = 0
+    for s in sets:
+        if not s & used:
+            packing += 1
+            used |= s
+    if size <= max(packing, -(-m // max(map(int.bit_count, cols)))):
+        return size, best, 1
+    return None
+
+
 def _solve_hitting(sets: list[int], n: int, lower: int) -> tuple[int, int, int]:
     """Minimum hitting set over nonempty vertex masks, given a proven lower
     bound ``lower`` on its size.
@@ -167,9 +226,18 @@ def _solve_hitting(sets: list[int], n: int, lower: int) -> tuple[int, int, int]:
     bound certifies that no smaller hitting set exists.  The first hitting
     set of size ``lower`` ends the search: nothing can beat it.
     """
-    sets, cols, full = _minimal_sets(sets, n)
+    sets = sorted(sorted(set(sets)), key=int.bit_count)  # stable: by (size, mask)
+    if len(sets) > _ROOT_GATE:
+        cols = _transpose(sets, n)
+        settled = _settle_root(sets, cols, lower)
+        if settled:
+            return settled
+        sets, cols = _minimal_columns(sets, cols, n)
+    else:
+        sets, cols = _minimal_sets(sets, n)
     if not sets:
         return 0, 0, 0
+    full = (1 << len(sets)) - 1
     best = _greedy_hitting(cols, full)
     best_size = best.bit_count()
     nodes = 0

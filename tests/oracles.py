@@ -7,8 +7,9 @@ isomorphism check; ``count_automorphisms`` tries every vertex permutation,
 and ``group_order`` closes a set of permutations under composition;
 ``minimal_family`` and ``list_greedy`` are the plain-list definitions of the
 solver's subset filter and greedy, and ``reference_hitting`` is the plain
-branch and bound built on them; ``contains_brute`` decides containment
-inside a vertex mask by trying injections of the pattern (a union-find
+branch and bound built on them, with the solver's root step as an option;
+``contains_brute`` decides containment inside a vertex mask by trying
+injections of the pattern (a union-find
 forest for any-cycle), and ``copies_brute`` collects the supports of all
 such injections, both without the ``patterns`` module or ``induced_subgraph``.
 ``decode_g6_reference`` is the plain graph6 reader: one step per
@@ -173,14 +174,32 @@ def list_greedy(sets, n):
     return chosen
 
 
-def reference_hitting(sets, n, lower=0):
+def reference_hitting(sets, n, lower=0, settle_above=None):
     """Minimum hitting set of the vertex masks ``sets`` by a plain branch and
     bound over lists: the inclusion-minimal sets, ``list_greedy`` as the
     first incumbent, a disjoint packing as the only lower bound, branching on
     the set with the fewest selectable vertices (ties to the least mask) and
     on its vertices by decreasing hit count (ties to the least index), each
     tried vertex banned in its later siblings.  A hitting set of size
-    ``lower`` ends the search.  Returns (size, witness mask, nodes)."""
+    ``lower`` ends the search.  Returns (size, witness mask, nodes).
+
+    With more than ``settle_above`` distinct sets, the greedy over all of
+    them, in (size, mask) order, is returned first when it meets ``lower``
+    (no node) or the root bound (one node): the larger of a disjoint packing
+    over them in that order and ceil(count / most sets one vertex lies in)."""
+    if settle_above is not None and len(set(sets)) > settle_above:
+        distinct = sorted(set(sets), key=lambda s: (s.bit_count(), s))
+        best = list_greedy(distinct, n)
+        size = best.bit_count()
+        if size <= lower:
+            return size, best, 0
+        packed = []
+        for s in distinct:
+            if all(not s & p for p in packed):
+                packed.append(s)
+        most = max(sum(1 for s in distinct if s >> v & 1) for v in range(n))
+        if size <= max(len(packed), -(-len(distinct) // most)):
+            return size, best, 1
     family = minimal_family(sets)
     if not family:
         return 0, 0, 0

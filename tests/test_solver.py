@@ -1,6 +1,6 @@
 import gc
 import random
-from itertools import compress
+from itertools import combinations, compress
 
 import pytest
 
@@ -30,8 +30,14 @@ from isolation import (
     random_connected_graph,
     y_graph,
 )
-from isolation import solver
-from isolation.solver import _WIDE, _minimal_sets, _select, _solve_hitting
+from isolation.solver import (
+    _ROOT_GATE,
+    _minimal_columns,
+    _minimal_sets,
+    _select,
+    _solve_hitting,
+    _transpose,
+)
 from oracles import (
     disjoint_union,
     list_greedy,
@@ -260,12 +266,20 @@ def test_hitting_instance_sets_are_nonempty_closures():
     assert iota_exact(g, DIAMOND).copies_found == len(closures)
 
 
+def _incidence(rows, n):
+    # bit i of column v is bit v of rows[i], one bit at a time
+    return [sum(1 << i for i, r in enumerate(rows) if r >> v & 1) for v in range(n)]
+
+
 def _check_minimal_sets(sets, n):
-    kept, cols, full = _minimal_sets(sets, n)
+    # both filters, the loop filter and the one that reads the columns of
+    # every distinct set, keep the minimal sets with their exact incidence
+    rows = sorted(set(sets), key=lambda s: (s.bit_count(), s))
+    cols = _transpose(rows, n)
+    kept, kept_cols = _minimal_sets(rows, n)
     assert kept == minimal_family(sets)
-    assert full == (1 << len(kept)) - 1
-    assert cols == [sum(1 << i for i, s in enumerate(kept) if s >> v & 1)
-                    for v in range(n)]
+    assert kept_cols == _incidence(kept, n)
+    assert _minimal_columns(rows, cols, n) == (kept, kept_cols)
     return kept
 
 
@@ -276,21 +290,19 @@ def test_selector_yields_the_set_bits():
         assert list(compress(range(1024), _select(m))) == list(bits(m))
 
 
-def test_minimal_sets_match_the_quadratic_definition(monkeypatch):
-    # record each selector the filter builds: one per kept set that misses
-    # more than _WIDE vertices, none for the narrow ones
-    selected = []
-    monkeypatch.setattr(solver, "_select",
-                        lambda m: selected.append(m) or _select(m))
+@pytest.mark.parametrize("n", [1, 9, 44, 80, 130])
+def test_transpose_matches_the_bitwise_incidence(n):
+    rng = random.Random(n)
+    for m in (0, 1, 63, 64, 65, 2000):
+        rows = [rng.getrandbits(n) for _ in range(m)]
+        if m:
+            rows[0] = (1 << n) - 1  # a full row, and an empty one
+            rows[-1] = 0
+        assert _transpose(rows, n) == _incidence(rows, n)
 
-    def check(sets, n):
-        selected.clear()
-        kept = _check_minimal_sets(sets, n)
-        missing = [((1 << n) - 1) & ~s for s in kept]
-        assert selected == [m for m in missing if m.bit_count() > _WIDE]
-        return kept
 
-    check([], 3)
+def test_minimal_sets_match_the_quadratic_definition():
+    _check_minimal_sets([], 3)
     rng = random.Random(29)
     for _ in range(400):
         n = rng.randrange(1, 11)
@@ -299,11 +311,10 @@ def test_minimal_sets_match_the_quadratic_definition(monkeypatch):
         sets = base + [s | rng.randrange(1 << n) for s in base]
         sets += rng.choices(base, k=rng.randrange(len(base) + 1))
         rng.shuffle(sets)
-        check(sets, n)
-    # masks wider than one int digit: kept sets both sparse (inserted through
-    # the selector) and dense (missing at most _WIDE vertices), and over 60
-    # of them, so outside[v] spans several digits too
-    wide = narrow = most_kept = 0
+        _check_minimal_sets(sets, n)
+    # masks wider than one int digit, sparse and dense, and over 60 kept
+    # sets, so the columns span several digits too
+    most_kept = 0
     for _ in range(12):
         n = rng.randrange(65, 131)
         base = [mask_of(rng.sample(range(n), int(n * rng.uniform(0.02, 0.97))))
@@ -311,11 +322,16 @@ def test_minimal_sets_match_the_quadratic_definition(monkeypatch):
         sets = base + [s | rng.getrandbits(n) for s in base[::3]]
         sets += rng.choices(base, k=10)
         rng.shuffle(sets)
-        kept = check(sets, n)
-        most_kept = max(most_kept, len(kept))
-        wide += len(selected)
-        narrow += len(kept) - len(selected)
-    assert wide and narrow and most_kept > 60
+        most_kept = max(most_kept, len(_check_minimal_sets(sets, n)))
+    assert most_kept > 60
+
+
+def test_column_filter_keeps_the_columns_when_nothing_is_dropped():
+    # an antichain: every set is minimal, so no second transposition
+    rows = [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
+    cols = _transpose(rows, 4)
+    kept, kept_cols = _minimal_columns(rows, cols, 4)
+    assert kept is rows and kept_cols is cols
 
 
 def test_minimal_sets_on_census_closures(census):
@@ -325,13 +341,40 @@ def test_minimal_sets_on_census_closures(census):
                 _check_minimal_sets(copy_closures(g, f), g.n)
 
 
+def _packing(sets):
+    # greedy disjoint packing, in the order given
+    packed = []
+    for s in sets:
+        if all(not s & p for p in packed):
+            packed.append(s)
+    return packed
+
+
+def test_sorted_packing_equals_the_packing_of_the_minimal_sets(census):
+    # a superset follows its subsets in (size, mask) order, so it always
+    # meets the packed vertices: the root bound needs no subset filter
+    def check(sets):
+        rows = sorted(set(sets), key=lambda s: (s.bit_count(), s))
+        assert _packing(rows) == _packing(minimal_family(sets))
+
+    for f in (K2, P3, DIAMOND):
+        for n in range(1, 8):
+            for g in census[n]:
+                check(copy_closures(g, f))
+    rng = random.Random(61)
+    for _ in range(300):
+        n = rng.randrange(1, 40)
+        base = [rng.randrange(1, 1 << n) for _ in range(rng.randrange(1, 30))]
+        check(base + [s | rng.getrandbits(n) for s in base])
+
+
 # --- branch and bound against the plain reference search -------------------
 
 def _check_against_reference(sets, n, lower=0):
     # the extra bounds only cut subtrees that cannot beat the incumbent, so
     # the incumbents, and the witness, come in the same order
     size, witness, nodes = _solve_hitting(sets, n, lower)
-    ref_size, ref_witness, ref_nodes = reference_hitting(sets, n, lower)
+    ref_size, ref_witness, ref_nodes = reference_hitting(sets, n, lower, _ROOT_GATE)
     assert (size, witness) == (ref_size, ref_witness)
     assert nodes <= ref_nodes
     return size
@@ -362,6 +405,18 @@ def test_search_matches_the_reference_on_census_closures(census):
         for n in range(1, 8):
             for g in census[n]:
                 _check_against_reference(copy_closures(g, f), g.n)
+
+
+def test_dense_n44_solve_is_settled_at_the_root():
+    # the greedy over all 1,817 distinct closures meets the root bound, so
+    # neither the subset filter nor the search runs
+    g = Graph.from_edges(44, random.Random(1).sample(list(combinations(range(44), 2)), 300))
+    closures = copy_closures(g, DIAMOND)
+    res = iota_exact(g, DIAMOND)
+    assert (res.value, res.nodes_explored) == (2, 1)
+    assert is_isolating(g, DIAMOND, res.witness)
+    assert reference_hitting(closures, g.n, 0, _ROOT_GATE) == (2, res.witness, 1)
+    assert reference_hitting(closures, g.n)[0] == 2
 
 
 def test_hit_count_bound_keeps_the_dense_n60_search_small():

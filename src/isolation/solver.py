@@ -62,7 +62,10 @@ from .patterns import (
 _SELECT = bytes.maketrans(b"01", b"\0\1")
 # a family of more distinct closures than this is transposed and bounded at
 # its root before the subset filter; at or below it the loop filter is faster
-# (break-even at 6 to 7 closures on the sweep's graphs of order 7 to 11)
+# (break-even at 6 to 7 closures on the sweep's graphs of order 7 to 11).
+# The column filter pays only where the root step has already paid for the
+# transposition: with it, the two filters break even at 6 closures; the
+# column filter alone, transposition included, is slower up to about 50.
 _ROOT_GATE = 6
 
 

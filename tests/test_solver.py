@@ -377,6 +377,8 @@ def _check_against_reference(sets, n, lower=0):
     ref_size, ref_witness, ref_nodes = reference_hitting(sets, n, lower, _ROOT_GATE)
     assert (size, witness) == (ref_size, ref_witness)
     assert nodes <= ref_nodes
+    # the value, also where the root settles, against a search with no root step
+    assert size == reference_hitting(sets, n, lower)[0]
     return size
 
 

@@ -54,6 +54,7 @@ from .solver import iota_exact, is_isolating
 MAX_BUILTIN_ORDER = 9
 _BRUTE_RECHECK_ORDER = 10  # exceptions up to this order re-checked by subsets
 _CACHED_LEVELS = 8  # orders above this are streamed, not cached
+_EXTREMAL_CAP = 100  # extremal findings listed in a report; all are counted
 
 # adjacency rows of each cached order, as bytes: a row of order <= 8 fits in
 # one byte, which takes a third of the memory of a tuple
@@ -284,7 +285,7 @@ def _solved_stream(graphs, family: PatternFamily, workers: int):
 
 
 def verify_bound(graphs, spec: BoundSpec, workers: int = 1,
-                 extremal_cap: int = 100, record_sink=None) -> BoundReport:
+                 record_sink=None) -> BoundReport:
     """Solve every connected graph in the stream and test it against the
     bound.
 
@@ -322,7 +323,7 @@ def verify_bound(graphs, spec: BoundSpec, workers: int = 1,
             report.exceptions.append(Finding(g6, n, value, bound))
         elif status == "extremal":
             report.extremal_total += 1
-            if len(report.extremal) < extremal_cap:
+            if len(report.extremal) < _EXTREMAL_CAP:
                 report.extremal.append(Finding(g6, n, value, bound))
         if record_sink is not None:
             record_sink({"g6": g6, "n": n, "iota": value, "bound": bound,

@@ -19,8 +19,8 @@ The closures are held once, transposed: bit i of ``cols[v]`` is set iff
 vertex v lies in closure i.  The greedy and the branch and bound work on
 masks of closure indices, so a vertex's hit count is one popcount and a
 child's uncovered closures one AND (bit-parallel search; San Segundo,
-Rodriguez-Losada and Jimenez, Comput. Oper. Res. 38(2), 2011).  A family of
-more than ``_ROOT_GATE`` distinct closures is transposed in C (``_transpose``)
+Rodriguez-Losada and Jimenez, Comput. Oper. Res. 38(2), 2011).  Every
+family is deduped, sorted by (size, mask), transposed in C (``_transpose``)
 and bounded at its root before any reduction: when the greedy over all its
 closures meets max(lower, packing, ceil(m / most)), that greedy is the
 answer and no subset filter runs.  Both bounds hold on any family, and the
@@ -28,11 +28,10 @@ packing over the closures in (size, mask) order equals the one over the
 inclusion-minimal closures, since a superset comes after its subsets and so
 always meets the packed vertices.  Otherwise the subset filter reads the
 transposed columns, and the greedy and the search run on the minimal
-closures.  A smaller family goes straight to a loop filter, which builds its
-incidence by insertion.  Each search node selects its uncovered closures,
-and the columns of its selectable vertices, in C by ``compress`` over a byte
-selector of the mask (``_select``), under 30 ns an element against about
-200 ns for a lowest-bit loop.
+closures.  Each search node selects its uncovered closures, and the columns
+of its selectable vertices, in C by ``compress`` over a byte selector of the
+mask (``_select``), under 30 ns an element against about 200 ns for a
+lowest-bit loop.
 """
 
 from __future__ import annotations
@@ -60,13 +59,6 @@ from .patterns import (
 
 # bin(m) reversed and mapped b"0"/b"1" -> 0/1 bytes: byte i is bit i of m
 _SELECT = bytes.maketrans(b"01", b"\0\1")
-# a family of more distinct closures than this is transposed and bounded at
-# its root before the subset filter; at or below it the loop filter is faster
-# (break-even at 6 to 7 closures on the sweep's graphs of order 7 to 11).
-# The column filter pays only where the root step has already paid for the
-# transposition: with it, the two filters break even at 6 closures; the
-# column filter alone, transposition included, is slower up to about 50.
-_ROOT_GATE = 6
 
 
 def _select(m: int) -> bytes:
@@ -126,45 +118,17 @@ def _transpose(rows: list[int], n: int) -> list[int]:
     return [int(text[width - 1 - v::width], 2) for v in range(n)]
 
 
-def _minimal_sets(sets: list[int], n: int) -> tuple[list[int], list[int]]:
+def _minimal_sets(sets: list[int], cols: list[int],
+                  n: int) -> tuple[list[int], list[int]]:
     """Inclusion-minimal members of the distinct ``sets``, given in (size,
-    mask) order, with their incidence ``cols``.
+    mask) order with their incidence ``cols``, and the incidence of those.
 
-    The filter works on the complement: ``outside[v]`` holds the kept
-    indices whose set misses v, so the kept subsets of s are the AND of
-    ``outside[v]`` over the vertices outside s.  Dense closures cover most
-    of the graph, so a test and an insertion touch only the few vertices a
-    closure misses."""
-    kept: list[int] = []
-    outside = [0] * n
-    full = 0
-    vertices = (1 << n) - 1
-    for s in sets:
-        missing = vertices & ~s
-        rest = missing
-        inside = full  # kept indices with no vertex outside s: subsets of s
-        while inside and rest:
-            low = rest & -rest
-            inside &= outside[low.bit_length() - 1]
-            rest ^= low
-        if not inside:
-            bit = 1 << len(kept)
-            rest = missing
-            while rest:
-                low = rest & -rest
-                outside[low.bit_length() - 1] |= bit
-                rest ^= low
-            kept.append(s)
-            full |= bit
-    return kept, [full & ~out for out in outside]
-
-
-def _minimal_columns(sets: list[int], cols: list[int],
-                     n: int) -> tuple[list[int], list[int]]:
-    """``_minimal_sets`` for a family whose incidence ``cols`` is already
-    built.  Nothing is inserted: ``full ^ cols[v]`` already holds every index
-    whose set misses v, so the test ANDs it with the mask of indices kept so
-    far.  The kept sets are transposed afresh only when some set is dropped."""
+    A set is dropped when a kept set is a subset of it, that is when some
+    kept index lies in ``full ^ cols[v]``, the indices whose set misses v,
+    for every vertex v the set misses: the test ANDs those masks with the
+    mask of indices kept so far.  A proper subset comes earlier in this
+    order, so each set is tested against the sets kept before it only.  The
+    kept sets are transposed afresh only when some set is dropped."""
     full = (1 << len(sets)) - 1
     outside = [full ^ c for c in cols]
     vertices = (1 << n) - 1
@@ -230,16 +194,11 @@ def _solve_hitting(sets: list[int], n: int, lower: int) -> tuple[int, int, int]:
     set of size ``lower`` ends the search: nothing can beat it.
     """
     sets = sorted(sorted(set(sets)), key=int.bit_count)  # stable: by (size, mask)
-    if len(sets) > _ROOT_GATE:
-        cols = _transpose(sets, n)
-        settled = _settle_root(sets, cols, lower)
-        if settled:
-            return settled
-        sets, cols = _minimal_columns(sets, cols, n)
-    else:
-        sets, cols = _minimal_sets(sets, n)
-    if not sets:
-        return 0, 0, 0
+    cols = _transpose(sets, n)
+    settled = _settle_root(sets, cols, lower)
+    if settled:
+        return settled
+    sets, cols = _minimal_sets(sets, cols, n)
     full = (1 << len(sets)) - 1
     best = _greedy_hitting(cols, full)
     best_size = best.bit_count()

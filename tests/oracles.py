@@ -174,7 +174,7 @@ def list_greedy(sets, n):
     return chosen
 
 
-def reference_hitting(sets, n, lower=0, settle_above=None):
+def reference_hitting(sets, n, lower=0, settle_root=False):
     """Minimum hitting set of the vertex masks ``sets`` by a plain branch and
     bound over lists: the inclusion-minimal sets, ``list_greedy`` as the
     first incumbent, a disjoint packing as the only lower bound, branching on
@@ -183,11 +183,11 @@ def reference_hitting(sets, n, lower=0, settle_above=None):
     tried vertex banned in its later siblings.  A hitting set of size
     ``lower`` ends the search.  Returns (size, witness mask, nodes).
 
-    With more than ``settle_above`` distinct sets, the greedy over all of
-    them, in (size, mask) order, is returned first when it meets ``lower``
-    (no node) or the root bound (one node): the larger of a disjoint packing
-    over them in that order and ceil(count / most sets one vertex lies in)."""
-    if settle_above is not None and len(set(sets)) > settle_above:
+    With ``settle_root``, the greedy over all the distinct sets, in (size,
+    mask) order, is returned first when it meets ``lower`` (no node) or the
+    root bound (one node): the larger of a disjoint packing over them in
+    that order and ceil(count / most sets one vertex lies in)."""
+    if settle_root:
         distinct = sorted(set(sets), key=lambda s: (s.bit_count(), s))
         best = list_greedy(distinct, n)
         size = best.bit_count()

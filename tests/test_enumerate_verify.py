@@ -185,9 +185,12 @@ def test_extremal_status_requires_exact_ratio(census):
     assert report.extremal_total == len(five)
 
 
-def test_extremal_cap_limits_list_not_count(census):
+def test_extremal_cap_limits_list_not_count(census, monkeypatch):
+    import isolation.enumerate_verify as ev
+
+    monkeypatch.setattr(ev, "_EXTREMAL_CAP", 2)
     five = [g for g in census[5] if contains_pattern(g, DIAMOND)]
-    report = verify_bound(five, BoundSpec(DIAMOND, 1, 5), extremal_cap=2)
+    report = verify_bound(five, BoundSpec(DIAMOND, 1, 5))
     assert len(report.extremal) == 2
     assert report.extremal_total == len(five)
 

@@ -153,8 +153,10 @@ def test_diamond_fast_path_matches_backtracking(census):
 
 
 def test_contains_iff_copies_nonempty(census):
-    families = [K1, K2, P3, DIAMOND, clique(3), clique(4), star(1), star(2),
-                book(2), book(3), custom(path_graph(4)), custom(cycle_graph(4))]
+    # star(1) and book(2) are P3 and DIAMOND themselves
+    # (test_family_aliases_are_one_object), so they are not listed twice
+    families = [K1, K2, P3, DIAMOND, clique(3), clique(4), star(2), book(3),
+                custom(path_graph(4)), custom(cycle_graph(4))]
     for n in range(1, 9):
         for g in census[n]:
             for f in families:

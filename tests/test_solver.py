@@ -31,8 +31,6 @@ from isolation import (
     y_graph,
 )
 from isolation.solver import (
-    _ROOT_GATE,
-    _minimal_columns,
     _minimal_sets,
     _select,
     _solve_hitting,
@@ -272,14 +270,12 @@ def _incidence(rows, n):
 
 
 def _check_minimal_sets(sets, n):
-    # both filters, the loop filter and the one that reads the columns of
-    # every distinct set, keep the minimal sets with their exact incidence
+    # the filter reads the columns of every distinct set and keeps the
+    # minimal sets with their exact incidence
     rows = sorted(set(sets), key=lambda s: (s.bit_count(), s))
-    cols = _transpose(rows, n)
-    kept, kept_cols = _minimal_sets(rows, n)
+    kept, kept_cols = _minimal_sets(rows, _transpose(rows, n), n)
     assert kept == minimal_family(sets)
     assert kept_cols == _incidence(kept, n)
-    assert _minimal_columns(rows, cols, n) == (kept, kept_cols)
     return kept
 
 
@@ -330,7 +326,7 @@ def test_column_filter_keeps_the_columns_when_nothing_is_dropped():
     # an antichain: every set is minimal, so no second transposition
     rows = [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
     cols = _transpose(rows, 4)
-    kept, kept_cols = _minimal_columns(rows, cols, 4)
+    kept, kept_cols = _minimal_sets(rows, cols, 4)
     assert kept is rows and kept_cols is cols
 
 
@@ -374,7 +370,8 @@ def _check_against_reference(sets, n, lower=0):
     # the extra bounds only cut subtrees that cannot beat the incumbent, so
     # the incumbents, and the witness, come in the same order
     size, witness, nodes = _solve_hitting(sets, n, lower)
-    ref_size, ref_witness, ref_nodes = reference_hitting(sets, n, lower, _ROOT_GATE)
+    ref_size, ref_witness, ref_nodes = reference_hitting(sets, n, lower,
+                                                         settle_root=True)
     assert (size, witness) == (ref_size, ref_witness)
     assert nodes <= ref_nodes
     # the value, also where the root settles, against a search with no root step
@@ -417,8 +414,18 @@ def test_dense_n44_solve_is_settled_at_the_root():
     res = iota_exact(g, DIAMOND)
     assert (res.value, res.nodes_explored) == (2, 1)
     assert is_isolating(g, DIAMOND, res.witness)
-    assert reference_hitting(closures, g.n, 0, _ROOT_GATE) == (2, res.witness, 1)
+    assert reference_hitting(closures, g.n, settle_root=True) == (2, res.witness, 1)
     assert reference_hitting(closures, g.n)[0] == 2
+
+
+def test_small_family_is_settled_at_the_root():
+    # the packing {2, 5}, {0, 1, 9}, {3, 4, 6, 7, 8} proves 3, so the greedy
+    # over all six closures, {1, 2, 3}, is the answer; the greedy over the
+    # five minimal ones ({1, 2, 5} contains {2, 5}) would give {0, 2, 3}
+    sets = [472, 515, 38, 36, 153, 654]
+    assert _solve_hitting(sets, 10, 0) == (3, 14, 1)
+    assert reference_hitting(sets, 10, settle_root=True) == (3, 14, 1)
+    assert reference_hitting(sets, 10)[0] == 3
 
 
 def test_hit_count_bound_keeps_the_dense_n60_search_small():

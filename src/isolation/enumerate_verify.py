@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
-from multiprocessing import Pool
 
 from .graph_core import (
     MAX_VERTICES,
@@ -170,7 +169,7 @@ def enumerate_connected(n: int):
     from the parent left by deleting its canonical non-cut vertex, through
     one attachment set per parent automorphism orbit.  Orders up to 8 are
     cached after the first call; ``n = 9`` streams its 261,080 classes in
-    about 14 s on a 2-core VM.
+    about 22 s on a 2-core VM.
     """
     if not 1 <= n <= MAX_BUILTIN_ORDER:
         raise ValueError(f"built-in enumeration covers 1..{MAX_BUILTIN_ORDER}")
@@ -266,6 +265,9 @@ def _solved_stream(graphs, family: PatternFamily, workers: int):
         for g in graphs:
             yield g, solve(g)
         return
+    # imported here: a serial run does not pay for loading multiprocessing
+    from multiprocessing import Pool
+
     # bounded batches keep memory flat on large streams while preserving the
     # input order of results
     with Pool(workers) as pool:

@@ -3,11 +3,15 @@
 A set S isolates a pattern copy D exactly when S meets the closed
 neighborhood of D's vertex support, so the minimum isolating set is a minimum
 hitting set over those closures.  Any-cycle has unboundedly many copies, so
-after each solve the closure of a shortest cycle left outside N[witness] is
-added until none is left (implicit hitting sets; Moreno-Centeno and Karp,
-Oper. Res. 61(2), 2013): each round's optimum is a lower bound, so the next
-round stops at the first hitting set of that size, and the last witness
-isolates.  The solver decomposes by connected components (isolation numbers
+its rounds start from the closure of every triangle, and after each solve
+the closure of a shortest cycle left outside N[witness] is added until none
+is left (implicit hitting sets; Moreno-Centeno and Karp, Oper. Res. 61(2),
+2013): each round's optimum is a lower bound, so the next round stops at the
+first hitting set of that size, and the last witness isolates.  Before an
+any-cycle search, vertices dominated by another vertex, one lying in every
+closure that holds them, are dropped (``_undominated``); the finite families
+skip that step, which costs more than it saves on their dense instances.
+The solver decomposes by connected components (isolation numbers
 are additive over components), uses a greedy upper bound, and breaks every
 tie by least vertex index so results are reproducible bit for bit.  Each
 branch-and-bound node is pruned by two lower bounds: a disjoint-closure
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress
 
 from .graph_core import (
@@ -70,11 +75,12 @@ def _select(m: int) -> bytes:
 @dataclass(frozen=True)
 class SolveResult:
     """Exact isolation number with a witness set (original labels) and search
-    statistics: ``copies_found`` closures searched (for any-cycle, the cycle
-    closures generated) and ``nodes_explored`` branch-and-bound nodes, summed
-    over the any-cycle rounds.  With the hit-count bound next to the packing
-    bound, the searched tree, and so this count, is smaller than the packing
-    bound alone would give; the value and the witness are the same.  A
+    statistics: ``copies_found`` closures searched (for any-cycle, the
+    seeded triangle closures and the cycle closures generated) and
+    ``nodes_explored`` branch-and-bound nodes, summed over the any-cycle
+    rounds.  With the hit-count bound next to the packing bound, the
+    searched tree, and so this count, is smaller than the packing bound
+    alone would give; the value and the witness are the same.  A
     family settled at its root, before the subset filter, counts one node,
     the bounded root; a round whose greedy meets the proven lower bound
     counts none."""
@@ -185,13 +191,37 @@ def _settle_root(sets: list[int], cols: list[int],
     return None
 
 
-def _solve_hitting(sets: list[int], n: int, lower: int) -> tuple[int, int, int]:
+def _undominated(sets: list[int], cols: list[int]) -> int:
+    """Mask of the vertices of the ``sets`` (with incidence ``cols``) that no
+    other vertex dominates.  v dominates u when v lies in every set holding
+    u, so that ``cols[v]`` contains ``cols[u]``, and v has the greater (hit
+    count, index): the containment is strict, or the columns are equal and
+    v > u.  So the vertices are visited by decreasing (hit count, index),
+    and u is dropped when the sets holding u share a vertex visited before
+    it.  Every dropped vertex has an undominated dominator, the greatest of
+    a set of twins survives, and so some minimum hitting set avoids every
+    dropped vertex (element dominance; Weihe, ALEX 1998)."""
+    live = seen = 0
+    for hits, u in sorted(zip(map(int.bit_count, cols), range(len(cols))),
+                          reverse=True):
+        if not hits:
+            break
+        if not reduce(int.__and__, compress(sets, _select(cols[u]))) & seen:
+            live |= 1 << u
+        seen |= 1 << u
+    return live
+
+
+def _solve_hitting(sets: list[int], n: int, lower: int,
+                   dominate: bool = False) -> tuple[int, int, int]:
     """Minimum hitting set over nonempty vertex masks, given a proven lower
     bound ``lower`` on its size.
 
     Returns (size, witness mask, nodes explored); the exhausted branch and
     bound certifies that no smaller hitting set exists.  The first hitting
-    set of size ``lower`` ends the search: nothing can beat it.
+    set of size ``lower`` ends the search: nothing can beat it.  With
+    ``dominate``, a search runs over the sets restricted to the
+    ``_undominated`` vertices; the greedy incumbent is kept as it is.
     """
     sets = sorted(sorted(set(sets)), key=int.bit_count)  # stable: by (size, mask)
     cols = _transpose(sets, n)
@@ -248,9 +278,34 @@ def _solve_hitting(sets: list[int], n: int, lower: int) -> tuple[int, int, int]:
             newly_banned |= 1 << v
 
     if best_size > lower:
+        if dominate:  # the search reads the columns of live vertices only
+            live = _undominated(sets, cols)
+            sets = [s & live for s in sets]
         rec(0, 0, full, 0)
     rec = None  # break the closure's self-reference: free without the gc
     return best_size, best, nodes
+
+
+def _triangle_closures(adj) -> list[int]:
+    """N[{u, v, w}] = adj[u] | adj[v] | adj[w] of every triangle u < v < w
+    of the graph with rows ``adj``.  The neighbours of u above u are taken
+    lowest first, so when v is taken, ``rest & adj[v]`` is the set of common
+    neighbours w above v."""
+    out = []
+    for u, row in enumerate(adj):
+        rest = row >> u + 1 << u + 1
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            third = rest & adj[v]
+            if third:
+                both = row | adj[v]
+                while third:
+                    w = third & -third
+                    third ^= w
+                    out.append(both | adj[w.bit_length() - 1])
+    return out
 
 
 def iota_exact(g: Graph, f: PatternFamily) -> SolveResult:
@@ -266,10 +321,11 @@ def iota_exact(g: Graph, f: PatternFamily) -> SolveResult:
     nodes = 0
     for comp in components(g):
         sub, old = induced_subgraph(g, comp)
-        sets = copy_closures(sub, f) if f.finite else []
+        sets = copy_closures(sub, f) if f.finite else _triangle_closures(sub.adj)
         size = 0  # each round's optimum bounds the next round from below
         while True:
-            size, local, explored = _solve_hitting(sets, sub.n, size)
+            size, local, explored = _solve_hitting(sets, sub.n, size,
+                                                   not f.finite)
             nodes += explored
             cycle = 0 if f.finite else shortest_cycle(
                 sub, sub.full_mask & ~_closure(sub.adj, local))

@@ -1,6 +1,7 @@
 import gc
 import random
 from itertools import combinations, compress
+from pathlib import Path
 
 import pytest
 
@@ -13,11 +14,14 @@ from isolation import (
     Graph,
     bits,
     circulant_graph,
+    clique,
     complete_graph,
     copy_closures,
     closed_neighborhood,
     cycle_graph,
+    decode_g6,
     diamond_graph,
+    enumerate_copies,
     extremal_witness_15,
     gamma,
     greedy_isolating,
@@ -35,6 +39,8 @@ from isolation.solver import (
     _select,
     _solve_hitting,
     _transpose,
+    _triangle_closures,
+    _undominated,
 )
 from oracles import (
     disjoint_union,
@@ -168,7 +174,8 @@ def test_any_cycle_values():
         two_triangles,
         two_triangles.full_mask & ~closed_neighborhood(two_triangles, res.witness))
     assert residual.edge_count() == residual.n - len(components(residual))
-    # one triangle closure per component, each hit by the first solve
+    # one triangle closure per component, seeded before the first solve,
+    # which hits both, so no shortest-cycle round adds a closure
     assert res.copies_found == 2 and res.nodes_explored > 0
     assert iota_exact(path_graph(6), ANY_CYCLE).copies_found == 0
 
@@ -197,6 +204,37 @@ def test_any_cycle_circulant_closed_form(n):
     g = circulant_graph(n, (1, 2))
     res = iota_exact(g, ANY_CYCLE)
     assert res.value == -(-n // 7)
+    assert res.witness.bit_count() == res.value
+    assert is_isolating(g, ANY_CYCLE, res.witness)
+
+
+def test_triangle_closures_are_the_clique_closures(census):
+    # the seeded closures, as a multiset, are N[support] of the K3 copies
+    def check(g):
+        copies = enumerate_copies(g, clique(3))
+        expected = [closed_neighborhood(g, c) for c in copies]
+        assert sorted(_triangle_closures(g.adj)) == sorted(expected)
+
+    for n in range(1, 8):
+        for g in census[n]:
+            check(g)
+    rng = random.Random(43)
+    for _ in range(60):
+        check(random_connected_graph(rng, rng.randrange(1, 40)))
+    check(disjoint_union([complete_graph(6), cycle_graph(5), complete_graph(3)]))
+
+
+# The first eight ring_lattice(Random(5), 96, 0.3) draws of
+# perfbench/workloads.py: any-cycle instances that need a deep search.
+RINGS96 = Path(__file__).with_name("data") / "rings96.g6"
+RINGS96_VALUES = (9, 9, 9, 9, 10, 10, 9, 10)
+
+
+@pytest.mark.parametrize("i", range(len(RINGS96_VALUES)))
+def test_any_cycle_pinned_rings(i):
+    g = decode_g6(RINGS96.read_text().split()[i])
+    res = iota_exact(g, ANY_CYCLE)
+    assert res.value == RINGS96_VALUES[i]
     assert res.witness.bit_count() == res.value
     assert is_isolating(g, ANY_CYCLE, res.witness)
 
@@ -397,6 +435,77 @@ def test_search_matches_the_reference_on_random_families():
                 for _ in range(rng.randrange(70, 130))]
         size = _check_against_reference(sets, n)
         _check_against_reference(sets, n, max(size - 1, 0))
+
+
+def _twin_family(rng):
+    # random sets over k classes, each class spread over 1..3 twin vertices,
+    # with some vertices added to single sets so that columns nest strictly
+    k = rng.randrange(1, 9)
+    spread = [rng.randint(1, 3) for _ in range(k)]
+    start = [sum(spread[:c]) for c in range(k)]
+    n = sum(spread) + rng.randrange(3)
+    sets = []
+    for _ in range(rng.randrange(1, 25)):
+        classes = rng.sample(range(k), rng.randint(1, min(k, 4)))
+        s = mask_of(start[c] + j for c in classes for j in range(spread[c]))
+        if rng.random() < 0.3:
+            s |= 1 << rng.randrange(n)
+        sets.append(s)
+    return sets, n
+
+
+def test_dominance_keeps_the_value_of_the_plain_search():
+    rng = random.Random(67)
+    searched = 0
+    for t in range(600):
+        if t % 2:
+            sets, n = _twin_family(rng)
+        else:
+            n = rng.randrange(1, 16)
+            sets = [mask_of(rng.sample(range(n), rng.randint(1, min(n, 5))))
+                    for _ in range(rng.randrange(1, 30))]
+        value = reference_hitting(sets, n)[0]  # no root step, no dominance
+        for lower in (0, max(value - 1, 0), value):
+            size, witness, nodes = _solve_hitting(sets, n, lower, dominate=True)
+            assert size == value
+            assert witness.bit_count() == size and all(s & witness for s in sets)
+            searched += nodes > 1
+        # every vertex of some set that is dropped has a kept dominator
+        rows = sorted(set(sets), key=lambda s: (s.bit_count(), s))
+        live = _undominated(rows, _transpose(rows, n))
+        for u in range(n):
+            holding = [s for s in rows if s >> u & 1]
+            if holding and not live >> u & 1:
+                assert any(live >> v & 1 and all(s >> v & 1 for s in holding)
+                           for v in range(n) if v != u)
+            if not holding:
+                assert not live >> u & 1
+    assert searched > 100
+
+
+@pytest.mark.parametrize("family", [K1, K2, P3], ids=lambda f: f.label())
+def test_finite_families_search_without_dominance(family):
+    # iota_exact passes the finite families' closures to the plain search:
+    # witness and node count follow the reference, which drops no vertex
+    rng = random.Random(73)
+    searched = 0
+    for _ in range(30):
+        g = random_connected_graph(rng, rng.randrange(16, 24), 0.15)
+        res = iota_exact(g, family)
+        ref_size, ref_witness, ref_nodes = reference_hitting(
+            copy_closures(g, family), g.n, settle_root=True)
+        assert (res.value, res.witness) == (ref_size, ref_witness)
+        assert res.nodes_explored <= ref_nodes
+        searched += res.nodes_explored > 1
+    assert searched >= 5
+
+
+def test_diamond_search_drops_no_dominated_vertex():
+    # dropping dominated vertices here would search 400 nodes, not 401
+    g = random_connected_graph(random.Random(4), 80, 0.1)
+    res = iota_exact(g, DIAMOND)
+    size, _, nodes = _solve_hitting(copy_closures(g, DIAMOND), g.n, 0)
+    assert (res.value, res.nodes_explored) == (size, nodes) == (4, 401)
 
 
 def test_search_matches_the_reference_on_census_closures(census):

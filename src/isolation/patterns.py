@@ -280,16 +280,18 @@ def _embeddings(g: Graph, pattern: Graph, within: int):
     host_deg = {v: (g.adj[v] & within).bit_count() for v in bits(within)}
     fits = [mask_of(v for v, d in host_deg.items() if d >= pattern.degree(pv))
             for pv in order]
+    # placed_nbrs[i]: the depths j < i with order[j] adjacent to order[i],
+    # whose images the image of order[i] must be adjacent to
+    placed_nbrs = [[j for j in range(i) if pattern.adj[order[i]] >> order[j] & 1]
+                   for i in range(p)]
     image = [0] * p
 
     def place(i: int, used: int):
         if i == p:
             yield used
             return
-        pv = order[i]
-        placed_nbrs = [j for j in range(i) if pattern.adj[pv] >> order[j] & 1]
         cand = fits[i] & ~used
-        for j in placed_nbrs:
+        for j in placed_nbrs[i]:
             cand &= g.adj[image[j]]
         for hv in bits(cand):
             image[i] = hv

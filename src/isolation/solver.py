@@ -24,18 +24,19 @@ vertex v lies in closure i.  The greedy and the branch and bound work on
 masks of closure indices, so a vertex's hit count is one popcount and a
 child's uncovered closures one AND (bit-parallel search; San Segundo,
 Rodriguez-Losada and Jimenez, Comput. Oper. Res. 38(2), 2011).  Every
-family is deduped, sorted by (size, mask), transposed in C (``_transpose``)
-and bounded at its root before any reduction: when the greedy over all its
-closures meets max(lower, packing, ceil(m / most)), that greedy is the
-answer and no subset filter runs.  Both bounds hold on any family, and the
-packing over the closures in (size, mask) order equals the one over the
-inclusion-minimal closures, since a superset comes after its subsets and so
-always meets the packed vertices.  Otherwise the subset filter reads the
-transposed columns, and the greedy and the search run on the minimal
-closures.  Each search node selects its uncovered closures, and the columns
-of its selectable vertices, in C by ``compress`` over a byte selector of the
-mask (``_select``), under 30 ns an element against about 200 ns for a
-lowest-bit loop.
+family is deduped, sorted by (size, mask) and transposed in C
+(``_transpose``); one search runs over these distinct closures, with no
+subset filter: a superset closure is hit whenever its subset is, so it
+changes no value, and its extra vertices only widen the search.  The
+greedy over them is the incumbent, and the search ends as soon as it meets
+the root bound, max(lower, packing, ceil(m / most)); when the greedy meets
+it already, no search runs.  A node where only one more vertex can beat the
+incumbent places that vertex in C: it must lie in every uncovered closure,
+so one pass over the columns finds the least such vertex, the child the
+branching would try first, and no child is visited.  Each other search node
+selects its uncovered closures, and the columns of its selectable vertices,
+in C by ``compress`` over a byte selector of the mask (``_select``), under
+30 ns an element against about 200 ns for a lowest-bit loop.
 """
 
 from __future__ import annotations
@@ -78,12 +79,12 @@ class SolveResult:
     statistics: ``copies_found`` closures searched (for any-cycle, the
     seeded triangle closures and the cycle closures generated) and
     ``nodes_explored`` branch-and-bound nodes, summed over the any-cycle
-    rounds.  With the hit-count bound next to the packing bound, the
-    searched tree, and so this count, is smaller than the packing bound
-    alone would give; the value and the witness are the same.  A
-    family settled at its root, before the subset filter, counts one node,
-    the bounded root; a round whose greedy meets the proven lower bound
-    counts none."""
+    rounds.  The hit-count bound next to the packing bound, the stop at
+    the root bound and the last vertex placed without visiting children
+    make the searched tree, and so this count, smaller than a plain search
+    would give; the value and the witness are the same.  A family whose
+    greedy meets the root bound counts one node, the bounded root; a round
+    whose greedy meets the proven lower bound counts none."""
 
     value: int
     witness: int
@@ -124,36 +125,6 @@ def _transpose(rows: list[int], n: int) -> list[int]:
     return [int(text[width - 1 - v::width], 2) for v in range(n)]
 
 
-def _minimal_sets(sets: list[int], cols: list[int],
-                  n: int) -> tuple[list[int], list[int]]:
-    """Inclusion-minimal members of the distinct ``sets``, given in (size,
-    mask) order with their incidence ``cols``, and the incidence of those.
-
-    A set is dropped when a kept set is a subset of it, that is when some
-    kept index lies in ``full ^ cols[v]``, the indices whose set misses v,
-    for every vertex v the set misses: the test ANDs those masks with the
-    mask of indices kept so far.  A proper subset comes earlier in this
-    order, so each set is tested against the sets kept before it only.  The
-    kept sets are transposed afresh only when some set is dropped."""
-    full = (1 << len(sets)) - 1
-    outside = [full ^ c for c in cols]
-    vertices = (1 << n) - 1
-    kept = 0
-    for i, s in enumerate(sets):
-        rest = vertices & ~s
-        inside = kept
-        while inside and rest:
-            low = rest & -rest
-            inside &= outside[low.bit_length() - 1]
-            rest ^= low
-        if not inside:
-            kept |= 1 << i
-    if kept == full:
-        return sets, cols
-    sets = list(compress(sets, _select(kept)))
-    return sets, _transpose(sets, n)
-
-
 def _greedy_hitting(cols: list[int], uncovered: int) -> int:
     chosen = 0
     while uncovered:
@@ -167,28 +138,6 @@ def _greedy_hitting(cols: list[int], uncovered: int) -> int:
         chosen |= 1 << best_v
         uncovered &= ~cols[best_v]
     return chosen
-
-
-def _settle_root(sets: list[int], cols: list[int],
-                 lower: int) -> tuple[int, int, int] | None:
-    """(size, witness, nodes) of the greedy over the distinct ``sets``, in
-    (size, mask) order with incidence ``cols``, if it meets the root bound
-    max(``lower``, disjoint packing, ceil(|sets| / most)); else None.  The
-    packing equals the one over the minimal sets: a superset comes after its
-    subsets, so it always meets ``used``."""
-    m = len(sets)
-    best = _greedy_hitting(cols, (1 << m) - 1)
-    size = best.bit_count()
-    if size <= lower:
-        return size, best, 0
-    packing = used = 0
-    for s in sets:
-        if not s & used:
-            packing += 1
-            used |= s
-    if size <= max(packing, -(-m // max(map(int.bit_count, cols)))):
-        return size, best, 1
-    return None
 
 
 def _undominated(sets: list[int], cols: list[int]) -> int:
@@ -218,20 +167,32 @@ def _solve_hitting(sets: list[int], n: int, lower: int,
     bound ``lower`` on its size.
 
     Returns (size, witness mask, nodes explored); the exhausted branch and
-    bound certifies that no smaller hitting set exists.  The first hitting
-    set of size ``lower`` ends the search: nothing can beat it.  With
-    ``dominate``, a search runs over the sets restricted to the
-    ``_undominated`` vertices; the greedy incumbent is kept as it is.
+    bound certifies that no smaller hitting set exists.  The search runs on
+    the distinct sets in (size, mask) order, from the greedy over them, and
+    ends at the first hitting set of the root bound's size, max(``lower``,
+    disjoint packing, ceil(|sets| / most)): nothing can beat it.  With
+    ``dominate``, the search runs over the sets and columns restricted to
+    the ``_undominated`` vertices; the greedy incumbent is kept as it is.
     """
     sets = sorted(sorted(set(sets)), key=int.bit_count)  # stable: by (size, mask)
     cols = _transpose(sets, n)
-    settled = _settle_root(sets, cols, lower)
-    if settled:
-        return settled
-    sets, cols = _minimal_sets(sets, cols, n)
     full = (1 << len(sets)) - 1
     best = _greedy_hitting(cols, full)
     best_size = best.bit_count()
+    if best_size <= lower:
+        return best_size, best, 0
+    packing = used = 0
+    for s in sets:
+        if not s & used:
+            packing += 1
+            used |= s
+    bound = max(lower, packing, -(-len(sets) // max(map(int.bit_count, cols))))
+    if best_size <= bound:
+        return best_size, best, 1  # settled at the root, one node
+    if dominate:
+        live = _undominated(sets, cols)
+        sets = [s & live for s in sets]
+        cols = [c if live >> v & 1 else 0 for v, c in enumerate(cols)]
     nodes = 0
 
     def rec(chosen: int, size: int, uncovered: int, banned: int) -> None:
@@ -240,6 +201,17 @@ def _solve_hitting(sets: list[int], n: int, lower: int,
         if not uncovered:
             if size < best_size:
                 best, best_size = chosen, size
+            return
+        if size + 2 >= best_size:
+            # only one more vertex can beat the incumbent, and it lies in
+            # every uncovered closure; such a vertex hits the most, so the
+            # least unbanned one is the child the branching would try first
+            if size + 2 == best_size:
+                for v in compress(range(n), map(uncovered.__eq__,
+                                                map(uncovered.__and__, cols))):
+                    if not banned >> v & 1:
+                        best, best_size = chosen | 1 << v, size + 1
+                        return
             return
         # one pass: a packing lower bound over selectable vertices (which also
         # detects closures no longer hittable), the selectable vertices, and
@@ -273,15 +245,11 @@ def _solve_hitting(sets: list[int], n: int, lower: int,
         newly_banned = banned
         for _, v in branch:
             rec(chosen | 1 << v, size + 1, uncovered & ~cols[v], newly_banned)
-            if best_size <= lower:
+            if best_size <= bound:
                 return
             newly_banned |= 1 << v
 
-    if best_size > lower:
-        if dominate:  # the search reads the columns of live vertices only
-            live = _undominated(sets, cols)
-            sets = [s & live for s in sets]
-        rec(0, 0, full, 0)
+    rec(0, 0, full, 0)
     rec = None  # break the closure's self-reference: free without the gc
     return best_size, best, nodes
 

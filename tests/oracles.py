@@ -5,9 +5,10 @@ increasing size order; ``count_connected_classes`` counts isomorphism classes
 of connected graphs by exhaustive labeled enumeration with a permutation
 isomorphism check; ``count_automorphisms`` tries every vertex permutation,
 and ``group_order`` closes a set of permutations under composition;
-``minimal_family`` and ``list_greedy`` are the plain-list definitions of the
-solver's subset filter and greedy, and ``reference_hitting`` is the plain
-branch and bound built on them, with the solver's root step as an option;
+``minimal_family`` is the plain-list definition of the inclusion-minimal
+sets, ``list_greedy`` that of the solver's greedy, and ``reference_hitting``
+is the plain branch and bound built on them, with a model of the solver's
+engine as an option;
 ``contains_brute`` decides containment inside a vertex mask by trying
 injections of the pattern (a union-find
 forest for any-cycle), and ``copies_brute`` collects the supports of all
@@ -183,27 +184,32 @@ def reference_hitting(sets, n, lower=0, settle_root=False):
     tried vertex banned in its later siblings.  A hitting set of size
     ``lower`` ends the search.  Returns (size, witness mask, nodes).
 
-    With ``settle_root``, the greedy over all the distinct sets, in (size,
-    mask) order, is returned first when it meets ``lower`` (no node) or the
-    root bound (one node): the larger of a disjoint packing over them in
-    that order and ceil(count / most sets one vertex lies in)."""
+    With ``settle_root``, the search models the solver's engine: it runs on
+    all the distinct sets in (size, mask) order, from ``list_greedy`` over
+    them, and ends at the root bound, the largest of ``lower``, a disjoint
+    packing over the sets in that order and ceil(count / most sets one
+    vertex lies in).  A greedy that meets ``lower`` is returned with no
+    node, one that meets the root bound with one node."""
+    stop = lower
     if settle_root:
-        distinct = sorted(set(sets), key=lambda s: (s.bit_count(), s))
-        best = list_greedy(distinct, n)
+        family = sorted(set(sets), key=lambda s: (s.bit_count(), s))
+        best = list_greedy(family, n)
         size = best.bit_count()
         if size <= lower:
             return size, best, 0
         packed = []
-        for s in distinct:
+        for s in family:
             if all(not s & p for p in packed):
                 packed.append(s)
-        most = max(sum(1 for s in distinct if s >> v & 1) for v in range(n))
-        if size <= max(len(packed), -(-len(distinct) // most)):
+        most = max(sum(1 for s in family if s >> v & 1) for v in range(n))
+        stop = max(lower, len(packed), -(-len(family) // most))
+        if size <= stop:
             return size, best, 1
-    family = minimal_family(sets)
-    if not family:
-        return 0, 0, 0
-    best = list_greedy(family, n)
+    else:
+        family = minimal_family(sets)
+        if not family:
+            return 0, 0, 0
+        best = list_greedy(family, n)
     state = {"best": best, "size": best.bit_count(), "nodes": 0}
 
     def rec(chosen, size, left, banned):
@@ -228,11 +234,11 @@ def reference_hitting(sets, n, lower=0, settle_root=False):
         for v in sorted(hits, key=lambda v: (-hits[v], v)):
             rec(chosen | 1 << v, size + 1, [s for s in left if not s >> v & 1],
                 banned)
-            if state["size"] <= lower:
+            if state["size"] <= stop:
                 return
             banned |= 1 << v
 
-    if state["size"] > lower:
+    if state["size"] > stop:
         rec(0, 0, family, 0)
     return state["size"], state["best"], state["nodes"]
 

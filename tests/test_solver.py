@@ -35,7 +35,6 @@ from isolation import (
     y_graph,
 )
 from isolation.solver import (
-    _minimal_sets,
     _select,
     _solve_hitting,
     _transpose,
@@ -307,16 +306,6 @@ def _incidence(rows, n):
     return [sum(1 << i for i, r in enumerate(rows) if r >> v & 1) for v in range(n)]
 
 
-def _check_minimal_sets(sets, n):
-    # the filter reads the columns of every distinct set and keeps the
-    # minimal sets with their exact incidence
-    rows = sorted(set(sets), key=lambda s: (s.bit_count(), s))
-    kept, kept_cols = _minimal_sets(rows, _transpose(rows, n), n)
-    assert kept == minimal_family(sets)
-    assert kept_cols == _incidence(kept, n)
-    return kept
-
-
 def test_selector_yields_the_set_bits():
     rng = random.Random(53)
     masks = [0, 1, 1 << 1023] + [rng.getrandbits(1024) for _ in range(20)]
@@ -335,46 +324,6 @@ def test_transpose_matches_the_bitwise_incidence(n):
         assert _transpose(rows, n) == _incidence(rows, n)
 
 
-def test_minimal_sets_match_the_quadratic_definition():
-    _check_minimal_sets([], 3)
-    rng = random.Random(29)
-    for _ in range(400):
-        n = rng.randrange(1, 11)
-        base = [rng.randrange(1, 1 << n) for _ in range(rng.randrange(1, 15))]
-        # proper and improper supersets, repeats, and equal-size siblings
-        sets = base + [s | rng.randrange(1 << n) for s in base]
-        sets += rng.choices(base, k=rng.randrange(len(base) + 1))
-        rng.shuffle(sets)
-        _check_minimal_sets(sets, n)
-    # masks wider than one int digit, sparse and dense, and over 60 kept
-    # sets, so the columns span several digits too
-    most_kept = 0
-    for _ in range(12):
-        n = rng.randrange(65, 131)
-        base = [mask_of(rng.sample(range(n), int(n * rng.uniform(0.02, 0.97))))
-                for _ in range(rng.randrange(60, 150))]
-        sets = base + [s | rng.getrandbits(n) for s in base[::3]]
-        sets += rng.choices(base, k=10)
-        rng.shuffle(sets)
-        most_kept = max(most_kept, len(_check_minimal_sets(sets, n)))
-    assert most_kept > 60
-
-
-def test_column_filter_keeps_the_columns_when_nothing_is_dropped():
-    # an antichain: every set is minimal, so no second transposition
-    rows = [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
-    cols = _transpose(rows, 4)
-    kept, kept_cols = _minimal_sets(rows, cols, 4)
-    assert kept is rows and kept_cols is cols
-
-
-def test_minimal_sets_on_census_closures(census):
-    for f in (DIAMOND, P3, K2):
-        for n in range(1, 8):
-            for g in census[n]:
-                _check_minimal_sets(copy_closures(g, f), g.n)
-
-
 def _packing(sets):
     # greedy disjoint packing, in the order given
     packed = []
@@ -386,7 +335,8 @@ def _packing(sets):
 
 def test_sorted_packing_equals_the_packing_of_the_minimal_sets(census):
     # a superset follows its subsets in (size, mask) order, so it always
-    # meets the packed vertices: the root bound needs no subset filter
+    # meets the packed vertices: the packing over the distinct closures,
+    # which the root bound takes, is that of the minimal ones
     def check(sets):
         rows = sorted(set(sets), key=lambda s: (s.bit_count(), s))
         assert _packing(rows) == _packing(minimal_family(sets))
@@ -465,14 +415,17 @@ def test_dominance_keeps_the_value_of_the_plain_search():
             sets = [mask_of(rng.sample(range(n), rng.randint(1, min(n, 5))))
                     for _ in range(rng.randrange(1, 30))]
         value = reference_hitting(sets, n)[0]  # no root step, no dominance
+        rows = sorted(set(sets), key=lambda s: (s.bit_count(), s))
+        live = _undominated(rows, _transpose(rows, n))
+        greedy = list_greedy(rows, n).bit_count()
         for lower in (0, max(value - 1, 0), value):
             size, witness, nodes = _solve_hitting(sets, n, lower, dominate=True)
             assert size == value
             assert witness.bit_count() == size and all(s & witness for s in sets)
+            if size < greedy:  # found by the search, which takes live vertices
+                assert not witness & ~live
             searched += nodes > 1
         # every vertex of some set that is dropped has a kept dominator
-        rows = sorted(set(sets), key=lambda s: (s.bit_count(), s))
-        live = _undominated(rows, _transpose(rows, n))
         for u in range(n):
             holding = [s for s in rows if s >> u & 1]
             if holding and not live >> u & 1:
@@ -508,8 +461,20 @@ def test_diamond_search_drops_no_dominated_vertex():
     assert (res.value, res.nodes_explored) == (size, nodes) == (4, 401)
 
 
+def test_search_stops_at_the_root_bound():
+    # the greedy takes 3 and the root bound is 2: the second node places a
+    # last vertex and meets the bound; a search that stopped only at the
+    # lower bound 0 would go on to 22 nodes
+    g = random_connected_graph(random.Random(5), 40, 0.2)
+    res = iota_exact(g, DIAMOND)
+    assert (res.value, res.nodes_explored) == (2, 2)
+    assert is_isolating(g, DIAMOND, res.witness)
+    ref = reference_hitting(copy_closures(g, DIAMOND), g.n, settle_root=True)
+    assert ref == (2, res.witness, 3)
+
+
 def test_search_matches_the_reference_on_census_closures(census):
-    for f in (DIAMOND, P3, K2):
+    for f in (DIAMOND, P3, K2, K1):
         for n in range(1, 8):
             for g in census[n]:
                 _check_against_reference(copy_closures(g, f), g.n)
@@ -517,7 +482,7 @@ def test_search_matches_the_reference_on_census_closures(census):
 
 def test_dense_n44_solve_is_settled_at_the_root():
     # the greedy over all 1,817 distinct closures meets the root bound, so
-    # neither the subset filter nor the search runs
+    # no search runs
     g = Graph.from_edges(44, random.Random(1).sample(list(combinations(range(44), 2)), 300))
     closures = copy_closures(g, DIAMOND)
     res = iota_exact(g, DIAMOND)

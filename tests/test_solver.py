@@ -35,6 +35,7 @@ from isolation import (
     y_graph,
 )
 from isolation.solver import (
+    _meet,
     _select,
     _solve_hitting,
     _transpose,
@@ -313,6 +314,38 @@ def test_selector_yields_the_set_bits():
         assert list(compress(range(1024), _select(m))) == list(bits(m))
 
 
+def _meet_brute(sets, mask, within, n):
+    # the vertices of within that lie in every selected set, one at a time
+    chosen = [s for i, s in enumerate(sets) if mask >> i & 1]
+    if not chosen:
+        return within
+    return sum(1 << v for v in range(n)
+               if within >> v & 1 and all(s >> v & 1 for s in chosen))
+
+
+def test_meet_matches_the_brute_force_meet():
+    rng = random.Random(79)
+    empty = full = 0
+    for _ in range(400):
+        n = rng.randrange(1, 90)
+        density = rng.uniform(0.05, 0.95)
+        sets = [sum(1 << v for v in range(n) if rng.random() < density)
+                for _ in range(rng.randrange(1, 70))]
+        if rng.random() < 0.4:  # a common vertex: the meet never empties
+            common = 1 << rng.randrange(n)
+            sets = [s | common for s in sets]
+        m = len(sets)
+        banned = rng.getrandbits(n)
+        masks = (0, 1, (1 << m) - 1, rng.getrandbits(m), 1 << rng.randrange(m))
+        for mask in masks:
+            for within in (-1, ~banned, rng.getrandbits(n) | 1 << n):
+                meet = _meet(sets, mask, within)
+                assert meet == _meet_brute(sets, mask, within, n)
+                empty += not meet
+                full += bool(meet) and mask == (1 << m) - 1 and m > 2
+    assert empty > 500 and full > 100
+
+
 @pytest.mark.parametrize("n", [1, 9, 44, 80, 130])
 def test_transpose_matches_the_bitwise_incidence(n):
     rng = random.Random(n)
@@ -471,6 +504,21 @@ def test_search_stops_at_the_root_bound():
     assert is_isolating(g, DIAMOND, res.witness)
     ref = reference_hitting(copy_closures(g, DIAMOND), g.n, settle_root=True)
     assert ref == (2, res.witness, 3)
+
+
+def test_search_matches_the_reference_on_sparse_diamond_graphs():
+    # the solve_sparse shape: 80 vertices, about 360 edges, a few hundred
+    # closures, and a search whose nodes mostly place one last vertex
+    rng = random.Random(83)
+    nodes = 0
+    for _ in range(16):
+        g = random_connected_graph(rng, 80, 0.09)
+        res = iota_exact(g, DIAMOND)
+        ref = reference_hitting(copy_closures(g, DIAMOND), g.n,
+                                settle_root=True)
+        assert (res.value, res.witness) == ref[:2]
+        nodes += res.nodes_explored
+    assert nodes == 592
 
 
 def test_search_matches_the_reference_on_census_closures(census):

@@ -364,7 +364,8 @@ def default_known_exceptions(family: PatternFamily, numerator: int,
                 canonical_form(y_graph()))
     if family == K2 and ratio == (1, 3):
         return (canonical_form(cycle_graph(5)),)
-    if family.kind == "clique" and ratio == (1, family.k + 1):
+    # K_k for k >= 3: K2's table is the one above, and K1 lists none
+    if family.kind == "clique" and family.k >= 3 and ratio == (1, family.k + 1):
         return (canonical_form(complete_graph(family.k)),)
     if family == ANY_CYCLE and ratio == (1, 4):
         return (canonical_form(complete_graph(3)),)

@@ -89,7 +89,7 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) outside 0..{n - 1}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows))
+        return cls._trusted(n, tuple(rows))
 
     @classmethod
     def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":

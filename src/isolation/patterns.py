@@ -2,6 +2,10 @@
 named-graph catalog (paths, cycles, circulants, the diamond, the exceptional
 9-vertex graph Y and the 15-vertex extremal witness).
 
+A family has one of five kinds: clique, star, book, any-cycle or custom.
+The named families are members of the first three, so a family compares,
+hashes and labels the same however it is spelled.
+
 Containment is subgraph containment, not induced: ``g`` contains a pattern if
 some injection of the pattern's vertices maps every pattern edge onto an edge
 of ``g``.  A "copy" is represented by its vertex-support mask; copies are
@@ -27,21 +31,14 @@ from .graph_core import (
     mask_of,
 )
 
-K1_KIND = "k1"
-K2_KIND = "k2"
 CLIQUE_KIND = "clique"
-P3_KIND = "p3"
 STAR_KIND = "star"
 BOOK_KIND = "book"
-DIAMOND_KIND = "diamond"
 ANY_CYCLE_KIND = "anycycle"
 CUSTOM_KIND = "custom"
+_KINDS = (CLIQUE_KIND, STAR_KIND, BOOK_KIND, ANY_CYCLE_KIND, CUSTOM_KIND)
 
 MAX_CUSTOM_PATTERN = 8
-
-# (kind, k) -> the one object of a family that parameter would spell again;
-# filled below the class, whose constructor refuses these parameters
-_ALIASES: dict[tuple[str, int], PatternFamily] = {}
 
 
 class UnsupportedFamilyError(ValueError):
@@ -50,10 +47,9 @@ class UnsupportedFamilyError(ValueError):
 
 @dataclass(frozen=True)
 class PatternFamily:
-    """One forbidden-pattern family; see the module constants for singletons.
-
-    ``k`` parametrizes cliques (K_k), stars (K_{1,k+1}) and books (p pages);
-    ``pattern`` holds the graph of a custom family.
+    """One forbidden-pattern family: the clique K_k, the star K_{1,k+1}, the
+    book of k pages, any-cycle, or the custom family of ``pattern``.  ``K1``
+    and ``K2`` are cliques, ``P3`` a star and ``DIAMOND`` a book.
     """
 
     kind: str
@@ -62,14 +58,16 @@ class PatternFamily:
     pattern_key: bytes = b""
 
     def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown pattern kind {self.kind!r}")
         if self.kind == CLIQUE_KIND and self.k < 1:
             raise ValueError("clique family needs k >= 1")
         if self.kind in (STAR_KIND, BOOK_KIND) and self.k < 1:
             raise ValueError(f"{self.kind} family needs a positive parameter")
-        if (self.kind, self.k) in _ALIASES:
-            # one object per family: the alias is built by its public spelling
-            raise ValueError(f"{self.kind} family with parameter {self.k} is "
-                             f"another family; use {self.kind}({self.k})")
+        if self.kind in (ANY_CYCLE_KIND, CUSTOM_KIND) and self.k:
+            raise ValueError(f"{self.kind} family takes no parameter")
+        if self.kind == BOOK_KIND and self.k == 1:
+            raise ValueError("book B_1 is the triangle; use clique(3)")
         if self.kind == CUSTOM_KIND:
             p = self.pattern
             if p is None or p.n == 0:
@@ -87,55 +85,50 @@ class PatternFamily:
         return self.kind != ANY_CYCLE_KIND
 
     def label(self) -> str:
-        if self.kind == CLIQUE_KIND:
-            return f"k:{self.k}"
-        if self.kind == STAR_KIND:
-            return f"star:{self.k}"
-        if self.kind == BOOK_KIND:
-            return f"book:{self.k}"
+        for name, f in _NAMED.items():
+            if f == self:
+                return name
         if self.kind == CUSTOM_KIND:
             return f"custom:{encode_g6(self.pattern)}"
-        return self.kind
-
-
-K1 = PatternFamily(K1_KIND)
-K2 = PatternFamily(K2_KIND)
-P3 = PatternFamily(P3_KIND)
-DIAMOND = PatternFamily(DIAMOND_KIND)
-ANY_CYCLE = PatternFamily(ANY_CYCLE_KIND)
-_ALIASES.update({(CLIQUE_KIND, 1): K1, (CLIQUE_KIND, 2): K2, (STAR_KIND, 1): P3,
-                 (BOOK_KIND, 1): PatternFamily(CLIQUE_KIND, 3),
-                 (BOOK_KIND, 2): DIAMOND})
+        return f"{'k' if self.kind == CLIQUE_KIND else self.kind}:{self.k}"
 
 
 def clique(k: int) -> PatternFamily:
     """The clique K_k; K_1 and K_2 are ``K1`` and ``K2``."""
-    return _ALIASES.get((CLIQUE_KIND, k)) or PatternFamily(CLIQUE_KIND, k)
+    return PatternFamily(CLIQUE_KIND, k)
 
 
 def star(k: int) -> PatternFamily:
     """The star K_{1,k+1}: a center with k+1 leaves; K_{1,2} is ``P3``."""
-    return _ALIASES.get((STAR_KIND, k)) or PatternFamily(STAR_KIND, k)
+    return PatternFamily(STAR_KIND, k)
 
 
 def book(p: int) -> PatternFamily:
     """The book B_p: p triangles sharing one common edge; B_1 is K_3 and
     B_2 is ``DIAMOND``."""
-    return _ALIASES.get((BOOK_KIND, p)) or PatternFamily(BOOK_KIND, p)
+    return clique(3) if p == 1 else PatternFamily(BOOK_KIND, p)
 
 
 def custom(pattern: Graph) -> PatternFamily:
     return PatternFamily(CUSTOM_KIND, pattern=pattern)
 
 
+K1 = clique(1)
+K2 = clique(2)
+P3 = star(1)
+DIAMOND = book(2)
+ANY_CYCLE = PatternFamily(ANY_CYCLE_KIND)
+# the families with a name of their own: their CLI spelling and label
+_NAMED = {"k1": K1, "k2": K2, "p3": P3, "diamond": DIAMOND,
+          "anycycle": ANY_CYCLE}
+
+
 def parse_family(text: str) -> PatternFamily:
     """Parse a CLI family spec: ``k1 k2 p3 diamond anycycle k:4 star:2 book:3
     custom:<graph6>``."""
     s = text.strip().lower()
-    plain = {"k1": K1, "k2": K2, "p3": P3, "diamond": DIAMOND,
-             "anycycle": ANY_CYCLE}
-    if s in plain:
-        return plain[s]
+    if s in _NAMED:
+        return _NAMED[s]
     head, sep, rest = text.strip().partition(":")
     if not sep:
         raise ValueError(f"unknown pattern family {text!r}")
@@ -205,45 +198,41 @@ def _copies(g: Graph, f: PatternFamily, within: int):
     the subgraph induced on the mask ``within``; a support may repeat.
     Vertex lists are materialized before ``combinations``, which keeps the
     peak memory of dense solves down."""
-    kind, adj = f.kind, g.adj
-    if kind == K1_KIND:
-        for v in bits(within):
-            yield 1 << v
-    elif kind == K2_KIND:
-        for u in bits(within):
-            for v in bits(adj[u] & within >> (u + 1) << (u + 1)):
-                yield 1 << u | 1 << v
-    elif kind == P3_KIND:
-        for c in bits(within):
-            nbrs = adj[c] & within
-            if nbrs & (nbrs - 1):
-                for a, b in combinations(list(bits(nbrs)), 2):
-                    yield 1 << c | 1 << a | 1 << b
+    kind, k, adj = f.kind, f.k, g.adj
+    if kind == CLIQUE_KIND:
+        if k == 1:
+            for v in bits(within):
+                yield 1 << v
+        elif k == 2:
+            for u in bits(within):
+                for v in bits(adj[u] & within >> (u + 1) << (u + 1)):
+                    yield 1 << u | 1 << v
+        else:
+            yield from _cliques(g, k, within)
     elif kind == STAR_KIND:
         for c in bits(within):
             nbrs = adj[c] & within
-            if nbrs.bit_count() > f.k:
-                for combo in combinations(list(bits(nbrs)), f.k + 1):
-                    yield 1 << c | mask_of(combo)
-    elif kind in (DIAMOND_KIND, BOOK_KIND):
-        pages = 2 if kind == DIAMOND_KIND else f.k
+            if nbrs.bit_count() > k:
+                if k == 1:  # P3, unrolled
+                    for a, b in combinations(list(bits(nbrs)), 2):
+                        yield 1 << c | 1 << a | 1 << b
+                else:
+                    for combo in combinations(list(bits(nbrs)), k + 1):
+                        yield 1 << c | mask_of(combo)
+    elif kind == BOOK_KIND:
         for u in bits(within):
             for v in bits(adj[u] & within >> (u + 1) << (u + 1)):
                 common = adj[u] & adj[v] & within
-                if common.bit_count() >= pages:
+                if common.bit_count() >= k:
                     spine = 1 << u | 1 << v
-                    if pages == 2:  # the diamond, unrolled: the 1/5 sweep's hot loop
+                    if k == 2:  # the diamond, unrolled: the 1/5 sweep's hot loop
                         for a, b in combinations(list(bits(common)), 2):
                             yield spine | 1 << a | 1 << b
                     else:
-                        for combo in combinations(list(bits(common)), pages):
+                        for combo in combinations(list(bits(common)), k):
                             yield spine | mask_of(combo)
-    elif kind == CLIQUE_KIND:
-        yield from _cliques(g, f.k, within)
     elif kind == CUSTOM_KIND:
         yield from _embeddings(g, f.pattern, within)
-    else:
-        raise ValueError(f"unknown pattern kind {kind!r}")
 
 
 def _cliques(g: Graph, k: int, within: int):
@@ -331,8 +320,9 @@ def complete_bipartite_graph(p: int, q: int) -> Graph:
 
 
 def diamond_graph() -> Graph:
-    """K4 minus one edge; vertices 0,1 have degree 3 and 2,3 have degree 2."""
-    return Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    """K4 minus one edge, the book B_2; vertices 0,1 have degree 3 and 2,3
+    have degree 2."""
+    return book_graph(2)
 
 
 def book_graph(p: int) -> Graph:

@@ -246,18 +246,11 @@ def reference_hitting(sets, n, lower=0, settle_root=False):
 def _pattern_edges(family):
     """Order and edge list of the one member of a finite ``family``."""
     kind, k = family.kind, family.k
-    if kind == "k1":
-        return 1, []
-    if kind == "k2":
-        return 2, [(0, 1)]
-    if kind == "p3":
-        return 3, [(0, 1), (0, 2)]
     if kind == "star":
         return k + 2, [(0, i) for i in range(1, k + 2)]
-    if kind in ("diamond", "book"):
-        pages = 2 if kind == "diamond" else k
-        return pages + 2, [(0, 1)] + [(e, i) for i in range(2, pages + 2)
-                                      for e in (0, 1)]
+    if kind == "book":
+        return k + 2, [(0, 1)] + [(e, i) for i in range(2, k + 2)
+                                  for e in (0, 1)]
     if kind == "clique":
         return k, list(combinations(range(k), 2))
     if kind == "custom":

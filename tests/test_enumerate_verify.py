@@ -26,7 +26,7 @@ from isolation import (
     verify_bound,
     y_graph,
 )
-from isolation.patterns import P3, clique
+from isolation.patterns import K1, P3, book, clique
 from oracles import count_connected_classes, disjoint_union, networkx_graph
 
 
@@ -232,6 +232,14 @@ def test_default_known_exceptions_tables():
         canonical_form(path_graph(3)), canonical_form(complete_graph(3)),
         canonical_form(cycle_graph(6))}
     assert default_known_exceptions(DIAMOND, 1, 4) == ()
+    # K1 and K2 are cliques, but the K_k table starts at k = 3
+    assert default_known_exceptions(K1, 1, 2) == ()
+    assert default_known_exceptions(clique(2), 1, 3) == (
+        canonical_form(cycle_graph(5)),)
+    assert default_known_exceptions(book(1), 1, 4) == (
+        canonical_form(complete_graph(3)),)
+    assert default_known_exceptions(clique(4), 1, 5) == (
+        canonical_form(complete_graph(4)),)
 
 
 # --- extremal search --------------------------------------------------------------

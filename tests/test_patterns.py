@@ -74,21 +74,47 @@ def test_parse_family_rejects_garbage(text):
 
 
 def test_family_aliases_are_one_object():
-    assert parse_family("star:1") is P3 and star(1) is P3
-    assert parse_family("book:2") is DIAMOND and book(2) is DIAMOND
-    assert parse_family("book:1") == parse_family("k:3") == clique(3)
+    # each named family is the member of its parametrized kind: equal, with
+    # the same hash and label, however it is spelled or built
+    for named, spelling in ((K1, "k:1"), (K2, "k:2"), (P3, "star:1"),
+                            (DIAMOND, "book:2")):
+        for f in (parse_family(spelling), PatternFamily(named.kind, named.k)):
+            assert f == named and hash(f) == hash(named)
+            assert f.label() == named.label()
+    assert (star(1), book(2), clique(1)) == (P3, DIAMOND, K1)
+    assert parse_family("book:1") == parse_family("k:3") == clique(3) == book(1)
     assert parse_family("book:1").label() == "k:3"
-    assert clique(1) is K1 and parse_family("k:1") is K1
-    # built directly, an alias would be a second object, unequal to the
-    # canonical one and without its known exceptions
-    for kind, k in (("book", 2), ("book", 1), ("star", 1), ("clique", 1),
-                    ("clique", 2)):
-        with pytest.raises(ValueError, match=re.escape(f"{kind}({k})")):
-            PatternFamily(kind, k)
+    assert PatternFamily("clique", 2) == K2
+    # B_1 is K_3, whose kind is clique: the one parameter a constructor refuses
+    with pytest.raises(ValueError, match=re.escape("clique(3)")):
+        PatternFamily("book", 1)
+
+
+@pytest.mark.parametrize("kind", ["widget", "k1", "k2", "p3", "diamond"])
+def test_family_rejects_unknown_kinds(kind):
+    with pytest.raises(ValueError, match="unknown pattern kind"):
+        PatternFamily(kind)
+
+
+@pytest.mark.parametrize("text", [
+    "k1", "k2", "p3", "diamond", "anycycle",
+    *(f"k:{k}" for k in range(1, 6)),
+    *(f"star:{k}" for k in range(1, 4)),
+    *(f"book:{p}" for p in range(1, 5)),
+    "custom:C~",
+])
+def test_family_label_round_trips(text):
+    f = parse_family(text)
+    assert parse_family(f.label()) == f
 
 
 def test_family_validation():
-    assert clique(2) is K2
+    assert clique(2) == K2 and hash(clique(2)) == hash(K2)
+    assert clique(2).label() == "k2"
+    # a parameter would make a second any-cycle or custom family
+    for kind, pattern in (("anycycle", None), ("custom", path_graph(3))):
+        with pytest.raises(ValueError, match="takes no parameter"):
+            PatternFamily(kind, 3, pattern=pattern)
     with pytest.raises(ValueError):
         clique(0)
     with pytest.raises(ValueError):
@@ -233,8 +259,8 @@ def test_enumerate_copies_matches_brute_force_on_the_census(census):
 
 def test_diamond_shape():
     g = diamond_graph()
-    degs = sorted(g.adj[v].bit_count() for v in range(4))
-    assert g.n == 4 and g.edge_count() == 5 and degs == [2, 2, 3, 3]
+    degs = [g.degree(v) for v in range(4)]  # the labels the docstring gives
+    assert g.n == 4 and g.edge_count() == 5 and degs == [3, 3, 2, 2]
 
 
 def test_book_two_pages_is_the_diamond():

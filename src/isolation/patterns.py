@@ -8,17 +8,22 @@ hashes and labels the same however it is spelled.
 
 Containment is subgraph containment, not induced: ``g`` contains a pattern if
 some injection of the pattern's vertices maps every pattern edge onto an edge
-of ``g``.  A "copy" is represented by its vertex-support mask; copies are
-deduplicated by support.  One generator, ``_copies``, lists the copies of a
-finite family inside a vertex mask: containment asks it for a first copy and
-enumeration takes them all.  Any-cycle, whose copies are unbounded, is
-decided by comparing the edge count with that of a spanning forest.
+of ``g``.  A "copy" is represented by a mask: its vertex support, or with
+``closed`` its closure N[support]; copies are deduplicated by that mask.
+One generator, ``_copies``, lists the copies of a finite family inside a
+vertex mask, each as the OR of a per-vertex row over its vertices: the unit
+row ``1 << v`` gives the support, the row ``adj[v] | 1 << v`` the closure.
+Containment asks it for a first copy and enumeration takes them all.
+Any-cycle, whose copies are unbounded, is decided by comparing the edge
+count with that of a spanning forest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from .graph_core import (
     Graph,
@@ -181,77 +186,91 @@ def contains_pattern(g: Graph, f: PatternFamily, within: int | None = None) -> b
         adj = g.adj
         edges = sum((adj[v] & within).bit_count() for v in bits(within)) // 2
         return edges > within.bit_count() - len(_components_within(adj, within))
-    return next(_copies(g, f, within), 0) != 0
+    # only whether a copy exists is asked, so any rows do: the adjacency
+    # rows are at hand, where the unit rows would be built per call
+    return next(_copies(g, f, within, g.adj), None) is not None
 
 
-def enumerate_copies(g: Graph, f: PatternFamily) -> list[int]:
-    """Vertex-support masks of all copies of ``f`` in ``g``, deduplicated and
+def enumerate_copies(g: Graph, f: PatternFamily, closed: bool = False) -> list[int]:
+    """Vertex-support masks of all copies of ``f`` in ``g``, or with
+    ``closed`` their closed neighborhoods N[support], deduplicated and
     sorted; raises for the (infinite) any-cycle family."""
     if not f.finite:
         raise UnsupportedFamilyError(
             "the any-cycle family has unbounded copies; use a structural check")
-    return sorted(set(_copies(g, f, g.full_mask)))
+    if closed:
+        rows = [row | 1 << v for v, row in enumerate(g.adj)]
+    else:
+        rows = [1 << v for v in range(g.n)]
+    return sorted(set(_copies(g, f, g.full_mask, rows)))
 
 
-def _copies(g: Graph, f: PatternFamily, within: int):
-    """Yield the vertex support of each copy of the finite family ``f`` in
-    the subgraph induced on the mask ``within``; a support may repeat.
-    Vertex lists are materialized before ``combinations``, which keeps the
-    peak memory of dense solves down."""
+def _copies(g: Graph, f: PatternFamily, within: int, rows):
+    """Yield, for each copy of the finite family ``f`` in the subgraph
+    induced on the mask ``within``, the OR of ``rows[v]`` over the copy's
+    vertices v: its support when ``rows[v]`` is ``1 << v``, its closed
+    neighborhood when it is ``adj[v] | 1 << v``.  A value may repeat.  Each
+    loop carries the OR of the vertices it has fixed, so a copy costs one
+    OR per vertex it adds.  Row lists are materialized before
+    ``combinations``, which keeps the peak memory of dense solves down."""
     kind, k, adj = f.kind, f.k, g.adj
     if kind == CLIQUE_KIND:
         if k == 1:
             for v in bits(within):
-                yield 1 << v
+                yield rows[v]
         elif k == 2:
             for u in bits(within):
+                row = rows[u]
                 for v in bits(adj[u] & within >> (u + 1) << (u + 1)):
-                    yield 1 << u | 1 << v
+                    yield row | rows[v]
         else:
-            yield from _cliques(g, k, within)
+            yield from _cliques(g, k, within, rows)
     elif kind == STAR_KIND:
         for c in bits(within):
             nbrs = adj[c] & within
             if nbrs.bit_count() > k:
+                centre = rows[c]
+                leaves = [rows[v] for v in bits(nbrs)]
                 if k == 1:  # P3, unrolled
-                    for a, b in combinations(list(bits(nbrs)), 2):
-                        yield 1 << c | 1 << a | 1 << b
+                    for a, b in combinations(leaves, 2):
+                        yield centre | a | b
                 else:
-                    for combo in combinations(list(bits(nbrs)), k + 1):
-                        yield 1 << c | mask_of(combo)
+                    for combo in combinations(leaves, k + 1):
+                        yield reduce(or_, combo, centre)
     elif kind == BOOK_KIND:
         for u in bits(within):
             for v in bits(adj[u] & within >> (u + 1) << (u + 1)):
                 common = adj[u] & adj[v] & within
                 if common.bit_count() >= k:
-                    spine = 1 << u | 1 << v
+                    spine = rows[u] | rows[v]
+                    pages = [rows[w] for w in bits(common)]
                     if k == 2:  # the diamond, unrolled: the 1/5 sweep's hot loop
-                        for a, b in combinations(list(bits(common)), 2):
-                            yield spine | 1 << a | 1 << b
+                        for a, b in combinations(pages, 2):
+                            yield spine | a | b
                     else:
-                        for combo in combinations(list(bits(common)), k):
-                            yield spine | mask_of(combo)
+                        for combo in combinations(pages, k):
+                            yield reduce(or_, combo, spine)
     elif kind == CUSTOM_KIND:
-        yield from _embeddings(g, f.pattern, within)
+        yield from _embeddings(g, f.pattern, within, rows)
 
 
-def _cliques(g: Graph, k: int, within: int):
-    def extend(current: int, size: int, candidates: int):
+def _cliques(g: Graph, k: int, within: int, rows):
+    def extend(acc: int, size: int, candidates: int):
         if size == k:
-            yield current
+            yield acc
             return
         for v in bits(candidates):
-            yield from extend(current | 1 << v,
+            yield from extend(acc | rows[v],
                               size + 1,
                               candidates & g.adj[v] & ~((1 << (v + 1)) - 1))
 
     return extend(0, 0, within)
 
 
-def _embeddings(g: Graph, pattern: Graph, within: int):
+def _embeddings(g: Graph, pattern: Graph, within: int, rows):
     """Backtracking injection of a connected pattern into ``within``; pattern
     edges must map onto host edges (extra host edges are allowed).  Yields
-    the host support of each injection found."""
+    the OR of ``rows`` over the host vertices of each injection found."""
     p = pattern.n
     if p > within.bit_count():
         return
@@ -275,18 +294,18 @@ def _embeddings(g: Graph, pattern: Graph, within: int):
                    for i in range(p)]
     image = [0] * p
 
-    def place(i: int, used: int):
+    def place(i: int, used: int, acc: int):
         if i == p:
-            yield used
+            yield acc
             return
         cand = fits[i] & ~used
         for j in placed_nbrs[i]:
             cand &= g.adj[image[j]]
         for hv in bits(cand):
             image[i] = hv
-            yield from place(i + 1, used | 1 << hv)
+            yield from place(i + 1, used | 1 << hv, acc | rows[hv])
 
-    yield from place(0, 0)
+    yield from place(0, 0, 0)
 
 
 # --- named graphs ---------------------------------------------------------

@@ -2,15 +2,19 @@
 
 A set S isolates a pattern copy D exactly when S meets the closed
 neighborhood of D's vertex support, so the minimum isolating set is a minimum
-hitting set over those closures.  Any-cycle has unboundedly many copies, so
-its rounds start from the closure of every triangle, and after each solve
-the closure of a shortest cycle left outside N[witness] is added until none
-is left (implicit hitting sets; Moreno-Centeno and Karp, Oper. Res. 61(2),
-2013): each round's optimum is a lower bound, so the next round stops at the
-first hitting set of that size, and the last witness isolates.  Before an
-any-cycle search, vertices dominated by another vertex, one lying in every
-closure that holds them, are dropped (``_undominated``); the finite families
-skip that step, which costs more than it saves on their dense instances.
+hitting set over those closures.  For a finite family the copy generator
+yields the closures themselves, each the OR of ``adj[v] | 1 << v`` over the
+copy's vertices (``enumerate_copies(g, f, closed=True)``), so no support
+list is built and no closure is taken per copy.  Any-cycle has unboundedly
+many copies, so its rounds start from the closure of every triangle, and
+after each solve the closure of a shortest cycle left outside N[witness] is
+added until none is left (implicit hitting sets; Moreno-Centeno and Karp,
+Oper. Res. 61(2), 2013): each round's optimum is a lower bound, so the next
+round stops at the first hitting set of that size, and the last witness
+isolates.  Before an any-cycle search, vertices dominated by another vertex,
+one lying in every closure that holds them, are dropped (``_undominated``);
+the finite families skip that step, which costs more than it saves on their
+dense instances.
 The solver decomposes by connected components (isolation numbers
 are additive over components), uses a greedy upper bound, and breaks every
 tie by least vertex index so results are reproducible bit for bit.  Each
@@ -90,8 +94,10 @@ def _meet(sets: list[int], mask: int, within: int) -> int:
 @dataclass(frozen=True)
 class SolveResult:
     """Exact isolation number with a witness set (original labels) and search
-    statistics: ``copies_found`` closures searched (for any-cycle, the
-    seeded triangle closures and the cycle closures generated) and
+    statistics: ``copies_found`` closures searched (for a finite family,
+    the distinct closed neighborhoods of its copies, however many copies
+    share one; for any-cycle, the seeded triangle closures and the cycle
+    closures generated) and
     ``nodes_explored`` branch-and-bound nodes, summed over the any-cycle
     rounds.  The hit-count bound next to the packing bound, the stop at
     the root bound and the last vertex placed by a meet of the uncovered
@@ -114,15 +120,16 @@ def is_isolating(g: Graph, f: PatternFamily, s: int) -> bool:
 
 
 def copy_closures(g: Graph, f: PatternFamily) -> list[int]:
-    """Closed neighborhoods of the copy supports; hitting all of them is
-    equivalent to isolating every copy."""
-    adj = g.adj
-    return [_closure(adj, c) for c in enumerate_copies(g, f)]
+    """The distinct closed neighborhoods of the copies, sorted, as the copy
+    generator yields them; hitting all of them is equivalent to isolating
+    every copy."""
+    return enumerate_copies(g, f, closed=True)
 
 
 def greedy_isolating(g: Graph, f: PatternFamily) -> int:
     """Valid isolating set built by repeatedly taking the vertex that hits
-    the most still-uncovered closures, one per copy (ties to least index)."""
+    the most still-uncovered closures, each distinct copy closure counted
+    once (ties to least index)."""
     sets = copy_closures(g, f)
     return _greedy_hitting(_transpose(sets, g.n), (1 << len(sets)) - 1)
 
@@ -195,7 +202,10 @@ def _solve_hitting(sets: list[int], n: int, lower: int,
     reads the columns only of vertices in those sets, so it never branches
     on or places a dropped vertex; the greedy incumbent is kept as it is.
     """
-    sets = sorted(sorted(set(sets)), key=int.bit_count)  # stable: by (size, mask)
+    # sorted by mask, so repeats are adjacent and dict.fromkeys drops them in
+    # order, then stably by size: (size, mask) order, cheaper than a set when
+    # the input comes sorted
+    sets = sorted(dict.fromkeys(sorted(sets)), key=int.bit_count)
     cols = _transpose(sets, n)
     full = (1 << len(sets)) - 1
     best = _greedy_hitting(cols, full)

@@ -11,8 +11,10 @@ is the plain branch and bound built on them, with a model of the solver's
 engine as an option;
 ``contains_brute`` decides containment inside a vertex mask by trying
 injections of the pattern (a union-find
-forest for any-cycle), and ``copies_brute`` collects the supports of all
-such injections, both without the ``patterns`` module or ``induced_subgraph``.
+forest for any-cycle), ``copies_brute`` collects the supports of all
+such injections and ``closures_brute`` their closed neighborhoods, all
+without the ``patterns`` module, ``induced_subgraph`` or the library's
+closed-neighborhood routine.
 ``decode_g6_reference`` is the plain graph6 reader: one step per
 upper-triangle bit, with the same checks, messages and offsets as the
 library's column-wise ``decode_g6``.
@@ -289,6 +291,20 @@ def copies_brute(adj, within, family):
     ``adj`` that maps every pattern edge onto an edge, as a set."""
     verts = [v for v in range(len(adj)) if within >> v & 1]
     return set(_injected_supports(adj, verts, family))
+
+
+def closures_brute(adj, family):
+    """The closed neighborhoods N[c] of the supports c of ``copies_brute``
+    over every vertex, each c together with the rows of its members, read
+    one bit at a time, sorted and without repeats."""
+    out = set()
+    for c in copies_brute(adj, (1 << len(adj)) - 1, family):
+        closure = c
+        for v in range(len(adj)):
+            if c >> v & 1:
+                closure |= adj[v]
+        out.add(closure)
+    return sorted(out)
 
 
 def _injected_supports(adj, verts, family):

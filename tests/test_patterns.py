@@ -42,7 +42,13 @@ from isolation import (
     y_graph,
 )
 from isolation.patterns import _copies, residual_path_pivot, shortest_cycle
-from oracles import contains_brute, copies_brute, disjoint_union, networkx_graph
+from oracles import (
+    closures_brute,
+    contains_brute,
+    copies_brute,
+    disjoint_union,
+    networkx_graph,
+)
 
 
 # --- family parsing ---------------------------------------------------------
@@ -240,11 +246,12 @@ FINITE_MASK_FAMILIES = [f for f in MASK_FAMILIES if f.finite]
 def test_masked_copies_match_brute_force_on_the_census(census):
     rng = random.Random(810)
     for n in range(1, 7):
+        units = [1 << v for v in range(n)]
         for g in census[n]:
             for within in (g.full_mask, rng.getrandbits(n), rng.getrandbits(n)):
                 for f in FINITE_MASK_FAMILIES:
-                    assert set(_copies(g, f, within)) == copies_brute(g.adj, within, f), \
-                        (encode_g6(g), within, f.label())
+                    assert set(_copies(g, f, within, units)) == \
+                        copies_brute(g.adj, within, f), (encode_g6(g), within, f.label())
 
 
 def test_enumerate_copies_matches_brute_force_on_the_census(census):
@@ -253,6 +260,25 @@ def test_enumerate_copies_matches_brute_force_on_the_census(census):
             for f in FINITE_MASK_FAMILIES:
                 assert enumerate_copies(g, f) == sorted(copies_brute(g.adj, g.full_mask, f)), \
                     (encode_g6(g), f.label())
+
+
+CLOSURE_FAMILIES = [clique(1), clique(2), clique(3), clique(4), star(1), star(2),
+                    book(2), book(3), custom(decode_g6("Cx")), custom(path_graph(4))]
+
+
+@pytest.mark.parametrize("f", CLOSURE_FAMILIES, ids=lambda f: f.label())
+def test_closed_copies_match_the_brute_force_closures(f):
+    # random graphs in which some vertices are isolated: there the closure
+    # of a K1 copy is the vertex alone
+    rng = random.Random(811)
+    for _ in range(50):
+        n = rng.randint(1, 9)
+        alone = rng.getrandbits(n) & rng.getrandbits(n)
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if not (alone >> u | alone >> v) & 1
+                                 and rng.random() < 0.7])
+        assert enumerate_copies(g, f, closed=True) == closures_brute(g.adj, f), \
+            encode_g6(g)
 
 
 # --- named graphs -----------------------------------------------------------

@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import os
 import random
 from itertools import combinations, compress
 from pathlib import Path
@@ -13,6 +15,7 @@ from isolation import (
     P3,
     Graph,
     bits,
+    book_graph,
     circulant_graph,
     clique,
     complete_graph,
@@ -122,15 +125,17 @@ def test_greedy_achieves_optimum_on_y():
     assert s.bit_count() == iota_exact(y_graph(), DIAMOND).value == 2
 
 
-def test_greedy_matches_the_list_greedy_with_duplicates(census):
-    # the greedy weighs every copy, so duplicate closures count each time
+def test_greedy_matches_the_list_greedy_over_distinct_closures(census):
+    # the greedy weighs each distinct closure once, however many copies share it
     families = (DIAMOND, P3, K2, parse_family("star:2"))
     graphs = [g for n in range(1, 8) for g in census[n]]
     rng = random.Random(13)
     graphs += [random_connected_graph(rng, rng.randrange(4, 16)) for _ in range(100)]
     for f in families:
         for g in graphs:
-            assert greedy_isolating(g, f) == list_greedy(copy_closures(g, f), g.n)
+            closures = copy_closures(g, f)
+            assert closures == sorted(set(closures))
+            assert greedy_isolating(g, f) == list_greedy(closures, g.n)
 
 
 def test_greedy_always_valid_never_below_optimum():
@@ -237,6 +242,43 @@ def test_any_cycle_pinned_rings(i):
     assert res.value == RINGS96_VALUES[i]
     assert res.witness.bit_count() == res.value
     assert is_isolating(g, ANY_CYCLE, res.witness)
+
+
+# SHA-256 of (value, witness, nodes explored) of every solve, family by
+# family, over the connected census up to the given order and one graph with
+# isolated vertices: a change to the copy or closure layer that alters a
+# value, a witness or the searched tree changes the digest.
+PINNED_FAMILIES = ("k1", "k2", "p3", "k:3", "diamond", "k:4", "star:2", "book:3",
+                   "anycycle", "custom:Ch")  # Ch is the path P4
+PINNED_SOLVES = {
+    7: "2b24aff2fbbd5b5b31434198363b1748cd0da6eafd73c31ac13ec76bc373cafa",
+    8: "d40bf373c85f31fbb9f9992cebb7cc50ef93e67e66b541ff43a495c26f00c2ce",
+}
+
+
+def _solve_digest(graphs):
+    h = hashlib.sha256()
+    for spec in PINNED_FAMILIES:
+        f = parse_family(spec)
+        for g in graphs:
+            res = iota_exact(g, f)
+            h.update(f"{spec} {res.value} {res.witness} {res.nodes_explored}\n"
+                     .encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("top", [
+    7,
+    pytest.param(8, marks=pytest.mark.skipif(
+        not os.environ.get("ISOLATION_EXTENDED"),
+        reason="the order-8 census solves take about 10 s; "
+               "set ISOLATION_EXTENDED=1 to run")),
+])
+def test_census_solves_are_pinned(census, top):
+    isolated = disjoint_union([path_graph(1), complete_graph(4), path_graph(1),
+                               book_graph(3), cycle_graph(5), path_graph(1)])
+    graphs = [g for n in range(1, top + 1) for g in census[n]] + [isolated]
+    assert _solve_digest(graphs) == PINNED_SOLVES[top]
 
 
 # --- structural invariants --------------------------------------------------

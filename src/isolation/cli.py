@@ -169,6 +169,8 @@ def _graphs_for_bound(args, min_n: int):
 
 
 def _cmd_bound(args) -> int:
+    if args.workers < 1:
+        raise _UsageError(f"--workers must be at least 1, got {args.workers}")
     f = _family(args)
     p, q = _parse_ratio(args.ratio)
     known = list(default_known_exceptions(f, p, q))
@@ -305,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--allow-known", action="store_true",
                     help="exit 0 when every exception is a known one")
     sp.add_argument("--workers", type=int, default=1,
-                    help="parallel solvers (default 1)")
+                    help="parallel solvers, at most the number of CPUs "
+                         "(default 1)")
     sp.add_argument("--quiet", action="store_true",
                     help="emit only the summary record")
     sp.set_defaults(func=_cmd_bound)

@@ -94,10 +94,10 @@ def _meet(sets: list[int], mask: int, within: int) -> int:
 @dataclass(frozen=True)
 class SolveResult:
     """Exact isolation number with a witness set (original labels) and search
-    statistics: ``copies_found`` closures searched (for a finite family,
-    the distinct closed neighborhoods of its copies, however many copies
-    share one; for any-cycle, the seeded triangle closures and the cycle
-    closures generated) and
+    statistics: ``copies_found`` distinct closures searched (for a finite
+    family, the closed neighborhoods of its copies, however many copies
+    share one; for any-cycle, the triangle closures it is seeded with,
+    counted the same way, and the cycle closures generated, each new) and
     ``nodes_explored`` branch-and-bound nodes, summed over the any-cycle
     rounds.  The hit-count bound next to the packing bound, the stop at
     the root bound and the last vertex placed by a meet of the uncovered
@@ -283,11 +283,12 @@ def _solve_hitting(sets: list[int], n: int, lower: int,
 
 
 def _triangle_closures(adj) -> list[int]:
-    """N[{u, v, w}] = adj[u] | adj[v] | adj[w] of every triangle u < v < w
-    of the graph with rows ``adj``.  The neighbours of u above u are taken
-    lowest first, so when v is taken, ``rest & adj[v]`` is the set of common
+    """The distinct N[{u, v, w}] = adj[u] | adj[v] | adj[w] over the
+    triangles u < v < w of the graph with rows ``adj``, however many
+    triangles share one.  The neighbours of u above u are taken lowest
+    first, so when v is taken, ``rest & adj[v]`` is the set of common
     neighbours w above v."""
-    out = []
+    out = set()
     for u, row in enumerate(adj):
         rest = row >> u + 1 << u + 1
         while rest:
@@ -300,8 +301,8 @@ def _triangle_closures(adj) -> list[int]:
                 while third:
                     w = third & -third
                     third ^= w
-                    out.append(both | adj[w.bit_length() - 1])
-    return out
+                    out.add(both | adj[w.bit_length() - 1])
+    return list(out)
 
 
 def iota_exact(g: Graph, f: PatternFamily) -> SolveResult:

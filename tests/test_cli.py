@@ -215,6 +215,48 @@ def test_bound_workers_env(capsys):
     assert [r["g6"] for r in rows[:-1]] == [r["g6"] for r in json_lines(serial)[:-1]]
 
 
+class _RecordingPool:
+    """Stand-in for ``multiprocessing.Pool`` that records its size and maps
+    in this process, so no worker process starts."""
+
+    built: list[int] = []
+
+    def __init__(self, processes):
+        self.built.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return list(map(fn, items))
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", str(10**6)])
+def test_bound_workers_are_range_checked(capsys, monkeypatch, workers):
+    # below 1 is a usage error before any pool is built; a huge count is cut
+    # to the CPU count and gives the serial run's records
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_RecordingPool, "built", [])
+    argv = ["bound", "--family", "diamond", "--ratio", "1/5",
+            "--enumerate", "5", "--allow-known"]
+    code, out, err = run(capsys, argv + ["--workers", workers])
+    if int(workers) < 1:
+        assert code == 2 and out == "" and "--workers" in err
+        assert _RecordingPool.built == []
+        return
+    assert code == 0 and _RecordingPool.built == [2]
+    _, serial, _ = run(capsys, argv)
+    strip = lambda rows: [{k: v for k, v in r.items() if k != "elapsed"}
+                          for r in rows]
+    assert strip(json_lines(out)) == strip(json_lines(serial))
+
+
 @pytest.mark.parametrize("alias,ratio,label", [
     ("book:2", "1/5", "diamond"),
     ("star:1", "2/7", "p3"),

@@ -99,6 +99,60 @@ def test_enumeration_range_validation():
         list(enumerate_connected(10))
 
 
+def _orbit_least_brute(k, gens):
+    # the least mask of each orbit, by closing every mask under the generators
+    least = []
+    seen = set()
+    for m in range(1, 1 << k):
+        if m in seen:
+            continue
+        orbit, todo = {m}, [m]
+        while todo:
+            a = todo.pop()
+            for sigma in gens:
+                b = sum(1 << sigma[v] for v in range(k) if a >> v & 1)
+                if b not in orbit:
+                    orbit.add(b)
+                    todo.append(b)
+        seen |= orbit
+        least.append(m)
+    return least
+
+
+def test_orbit_least_masks_bound_filters_by_size():
+    # the bounded list is the unbounded one filtered to sizes 1 and >= bound,
+    # in the same order: generators keep a mask's size
+    from isolation.enumerate_verify import _orbit_least_masks
+
+    rng = random.Random(24)
+    groups = [(k, []) for k in range(1, 9)]
+    groups.append((4, [(1, 0, 2, 3), (1, 2, 3, 0)]))  # the symmetric group
+    for _ in range(40):
+        k = rng.randrange(1, 9)
+        groups.append((k, [tuple(rng.sample(range(k), k))
+                           for _ in range(rng.randrange(1, 4))]))
+    for k, gens in groups:
+        full = _orbit_least_masks(k, gens)
+        assert full == _orbit_least_brute(k, gens)
+        for bound in range(k + 2):
+            assert _orbit_least_masks(k, gens, bound) == [
+                m for m in full if m.bit_count() == 1 or m.bit_count() >= bound]
+
+
+def test_level_without_the_degree_bound_yields_the_same_children(monkeypatch):
+    # the bound skips only sets the rivals loop rejects: every parent of
+    # order <= 6 gives the same children in the same order without it
+    import isolation.enumerate_verify as ev
+
+    ev._ensure_level(6)
+    parents = [p for level in ev._levels[:6] for p in level]
+    bounded = [list(ev._level([p])) for p in parents]
+    unbounded = ev._orbit_least_masks
+    monkeypatch.setattr(ev, "_orbit_least_masks",
+                        lambda k, gens, bound=0: unbounded(k, gens))
+    assert [list(ev._level([p])) for p in parents] == bounded
+
+
 # --- bound sweeps ---------------------------------------------------------------
 
 def sweep(census, family, p, q, nmax, min_n=1, **kw):
@@ -203,6 +257,13 @@ def test_parallel_sweep_matches_sequential(census):
     verify_bound(iter(graphs), BoundSpec(DIAMOND, 1, 5), workers=2,
                  record_sink=par_rows.append)
     assert seq_rows == par_rows
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_verify_bound_refuses_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="workers"):
+        verify_bound(iter([diamond_graph()]), BoundSpec(DIAMOND, 1, 5),
+                     workers=workers)
 
 
 def test_summary_dict_shape(census):

@@ -29,6 +29,7 @@ from .enumerate_verify import (
     verify_bound,
 )
 from .graph_core import (
+    MAX_VERTICES,
     Graph6Error,
     bits,
     canonical_form,
@@ -91,9 +92,13 @@ def _parse_ratio(text: str) -> tuple[int, int]:
 
 def _parse_set(text: str) -> int:
     try:
-        return mask_of(int(x) for x in text.split(",") if x.strip() != "")
+        vertices = [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise _UsageError(f"--set expects comma-separated vertices, got {text!r}") from None
+    # before any shift: 1 << v for a huge v overflows or exhausts memory
+    if not all(0 <= v < MAX_VERTICES for v in vertices):
+        raise _UsageError(f"--set names a vertex outside 0..{MAX_VERTICES - 1}")
+    return mask_of(vertices)
 
 
 def _family(args):

@@ -13,7 +13,9 @@ of ``g``.  A "copy" is represented by a mask: its vertex support, or with
 One generator, ``_copies``, lists the copies of a finite family inside a
 vertex mask, each as the OR of a per-vertex row over its vertices: the unit
 row ``1 << v`` gives the support, the row ``adj[v] | 1 << v`` the closure.
-Containment asks it for a first copy and enumeration takes them all.
+Cliques of every size come from one walk that takes the lowest bit off a
+candidate mask and meets the rest with that vertex's row.  Containment asks
+the generator for a first copy and enumeration takes them all.
 Any-cycle, whose copies are unbounded, is decided by comparing the edge
 count with that of a spanning forest.
 """
@@ -26,6 +28,7 @@ from itertools import combinations
 from operator import or_
 
 from .graph_core import (
+    MAX_VERTICES,
     Graph,
     _components_within,
     bits,
@@ -71,6 +74,10 @@ class PatternFamily:
             raise ValueError(f"{self.kind} family needs a positive parameter")
         if self.kind in (ANY_CYCLE_KIND, CUSTOM_KIND) and self.k:
             raise ValueError(f"{self.kind} family takes no parameter")
+        # K_k has k vertices, the star and the book k + 2: no graph holds more
+        if self.k + 2 * (self.kind != CLIQUE_KIND) > MAX_VERTICES:
+            raise ValueError(
+                f"{self.kind} pattern has more than {MAX_VERTICES} vertices")
         if self.kind == BOOK_KIND and self.k == 1:
             raise ValueError("book B_1 is the triangle; use clique(3)")
         if self.kind == CUSTOM_KIND:
@@ -211,20 +218,12 @@ def _copies(g: Graph, f: PatternFamily, within: int, rows):
     vertices v: its support when ``rows[v]`` is ``1 << v``, its closed
     neighborhood when it is ``adj[v] | 1 << v``.  A value may repeat.  Each
     loop carries the OR of the vertices it has fixed, so a copy costs one
-    OR per vertex it adds.  Row lists are materialized before
+    OR per vertex it adds.  A clique K_k, K1 and K2 included, is one call
+    into the low-bit walk of ``_cliques``.  Row lists are materialized before
     ``combinations``, which keeps the peak memory of dense solves down."""
     kind, k, adj = f.kind, f.k, g.adj
     if kind == CLIQUE_KIND:
-        if k == 1:
-            for v in bits(within):
-                yield rows[v]
-        elif k == 2:
-            for u in bits(within):
-                row = rows[u]
-                for v in bits(adj[u] & within >> (u + 1) << (u + 1)):
-                    yield row | rows[v]
-        else:
-            yield from _cliques(g, k, within, rows)
+        yield from _cliques(adj, k, within, 0, rows)
     elif kind == STAR_KIND:
         for c in bits(within):
             nbrs = adj[c] & within
@@ -254,17 +253,19 @@ def _copies(g: Graph, f: PatternFamily, within: int, rows):
         yield from _embeddings(g, f.pattern, within, rows)
 
 
-def _cliques(g: Graph, k: int, within: int, rows):
-    def extend(acc: int, size: int, candidates: int):
-        if size == k:
-            yield acc
-            return
-        for v in bits(candidates):
-            yield from extend(acc | rows[v],
-                              size + 1,
-                              candidates & g.adj[v] & ~((1 << (v + 1)) - 1))
-
-    return extend(0, 0, within)
+def _cliques(adj, k: int, cand: int, acc: int, rows):
+    """Yield ``acc`` ORed with the rows of each k-clique inside ``cand``.
+    The least vertex v is taken off ``cand`` first, so what is left of
+    ``cand & adj[v]`` holds just the neighbors above v: each clique is met
+    once, least vertex first, and a (k-1)-clique among them completes it."""
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        v = low.bit_length() - 1
+        if k == 1:
+            yield acc | rows[v]
+        else:
+            yield from _cliques(adj, k - 1, cand & adj[v], acc | rows[v], rows)
 
 
 def _embeddings(g: Graph, pattern: Graph, within: int, rows):

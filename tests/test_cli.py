@@ -108,6 +108,18 @@ def test_certify_out_of_range_set(capsys, monkeypatch):
     assert code == 2 and "--set" in err
 
 
+@pytest.mark.parametrize("vertex", [10**23, 10**10, 1024])
+def test_certify_refuses_a_huge_vertex_before_building_the_set(
+        capsys, monkeypatch, vertex):
+    # 1 << 10**23 overflows and 1 << 10**10 takes 1.25 GB: the index is
+    # refused before any shift
+    code, out, err = run(capsys, ["certify", "--set", f"0,{vertex}"],
+                         stdin="C~\n", monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--set" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_bad_family_is_usage_error(capsys, monkeypatch):
     code, _, err = run(capsys, ["solve", "--family", "widget"],
                        stdin="C~\n", monkeypatch=monkeypatch)
@@ -120,6 +132,21 @@ def test_small_clique_parameter_names_the_valid_range(capsys, monkeypatch, spec)
     code, _, err = run(capsys, ["solve", "--family", spec], stdin="C~\n",
                        monkeypatch=monkeypatch)
     assert code == 2 and "k >= 1" in err and "K1/K2" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--family", "k:2000", "--ratio", "1/2001"],
+    ["solve", "--family", "k:2000"],
+    ["solve", "--family", "star:1023"],
+    ["solve", "--family", "book:1023"],
+])
+def test_family_parameters_beyond_max_vertices_are_usage_errors(
+        capsys, monkeypatch, argv):
+    # a pattern on more than 1024 vertices fits no graph; the bound used to
+    # build K_2000 for its known exceptions and die, the solve to report 0
+    code, out, err = run(capsys, argv, stdin="C~\n", monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --family") and len(err.splitlines()) == 1
 
 
 # --- enumerate -------------------------------------------------------------------

@@ -41,6 +41,7 @@ from isolation import (
     verify_y_properties,
     y_graph,
 )
+from isolation.graph_core import MAX_VERTICES
 from isolation.patterns import _copies, residual_path_pivot, shortest_cycle
 from oracles import (
     closures_brute,
@@ -129,6 +130,14 @@ def test_family_validation():
         custom(disjoint_union([path_graph(2), path_graph(2)]))
     with pytest.raises(ValueError):
         custom(path_graph(9))
+    # no graph holds a pattern on more than MAX_VERTICES vertices: K_k has
+    # k, the star and the book k + 2
+    assert parse_family("k:1024") == clique(MAX_VERTICES)
+    assert parse_family("star:1022") == star(MAX_VERTICES - 2)
+    assert parse_family("book:1022") == book(MAX_VERTICES - 2)
+    for text in ("k:1025", "k:2000", "star:1023", "book:1023", "book:99999999"):
+        with pytest.raises(ValueError, match="more than 1024 vertices"):
+            parse_family(text)
 
 
 # --- containment ------------------------------------------------------------
@@ -197,8 +206,8 @@ def test_contains_iff_copies_nonempty(census):
 
 # --- containment inside a vertex mask ----------------------------------------
 
-MASK_FAMILIES = [K1, K2, P3, DIAMOND, ANY_CYCLE, clique(3), clique(4), star(2),
-                 book(3), custom(decode_g6("Cx"))]
+MASK_FAMILIES = [K1, K2, P3, DIAMOND, ANY_CYCLE, clique(3), clique(4), clique(5),
+                 star(2), book(3), custom(decode_g6("Cx"))]
 
 
 def residual_mask(g, s):
@@ -262,8 +271,9 @@ def test_enumerate_copies_matches_brute_force_on_the_census(census):
                     (encode_g6(g), f.label())
 
 
-CLOSURE_FAMILIES = [clique(1), clique(2), clique(3), clique(4), star(1), star(2),
-                    book(2), book(3), custom(decode_g6("Cx")), custom(path_graph(4))]
+CLOSURE_FAMILIES = [clique(1), clique(2), clique(3), clique(4), clique(5), star(1),
+                    star(2), book(2), book(3), custom(decode_g6("Cx")),
+                    custom(path_graph(4))]
 
 
 @pytest.mark.parametrize("f", CLOSURE_FAMILIES, ids=lambda f: f.label())

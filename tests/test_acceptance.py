@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v``.  The order-9 exception
 census (criterion 3, about 30 s) and the order-9 class count with its stream
-digest (criterion 9, about 13 s) only run when ``ISOLATION_EXTENDED=1`` is set.
+digest and distinct canonical forms (criterion 9, about 30 s) only run when
+``ISOLATION_EXTENDED=1`` is set.
 """
 
 import hashlib
@@ -198,16 +199,20 @@ def test_criterion_9_census_integrity(census):
     report(f"PASS criterion 9: connected census counts for n=1..8 are {counts}")
 
 
-@extended(13)
+@extended(30)
 def test_criterion_9_order_nine_census_extended():
     start = time.perf_counter()
     count = 0
     digest = hashlib.sha256()  # of the graph6 lines in stream order
+    keys = set()
     for g in enumerate_connected(9):
         digest.update((encode_g6(g) + "\n").encode("ascii"))
+        keys.add(canonical_form(g))
         count += 1
     assert count == 261080
+    assert len(keys) == count  # pairwise non-isomorphic
     assert digest.hexdigest() == (
-        "13d6fdfb0007b7c6cb06056d32c80b12eb0b23706cf8790b3df41062778f4e69")
-    report(f"PASS criterion 9 (extended): {count} connected classes at n=9 "
+        "0355be212d1fabef46c52abb1768db0d5a86dd9a25aa99877127ad15e6566dac")
+    report(f"PASS criterion 9 (extended): {count} pairwise non-isomorphic "
+           f"connected classes at n=9 "
            f"({time.perf_counter() - start:.0f}s)")

@@ -213,6 +213,35 @@ def test_bound_known_long_cycle_returns_promptly(capsys, monkeypatch):
     assert time.perf_counter() - start < 10
 
 
+@pytest.mark.parametrize("argv, stdin, expected", [
+    # k:1024's default exception is K_1024, whose canonical form takes
+    # seconds, and a 4-vertex graph holds no copy of it
+    (["--family", "k:1024", "--ratio", "1/1025"], "C~", 0),
+    (["--family", "k:1024", "--ratio", "1/1025", "--allow-known"], "C~", 0),
+    # C5 is an exception to the K2 1/4 ratio, but without --allow-known the
+    # exit code is 1 whatever the known exceptions are
+    (["--family", "k2", "--ratio", "1/4", "--known", "Dhc"], "Dhc", 1),
+])
+def test_bound_keys_known_exceptions_only_when_they_decide(
+        capsys, monkeypatch, argv, stdin, expected):
+    import isolation.enumerate_verify
+
+    calls = []
+    for module in (isolation.cli, isolation.enumerate_verify):
+        monkeypatch.setattr(module, "canonical_form", calls.append)
+    code, _, _ = run(capsys, ["bound", "--quiet"] + argv, stdin=stdin + "\n",
+                     monkeypatch=monkeypatch)
+    assert code == expected
+    assert calls == []
+
+
+def test_bound_rejects_a_bad_known_value_before_the_sweep(capsys, monkeypatch):
+    code, out, err = run(capsys, ["bound", "--family", "k2", "--ratio", "1/3",
+                                  "--known", "D!c"],
+                         stdin="Dhc\n", monkeypatch=monkeypatch)
+    assert code == 2 and out == "" and err.startswith("error: --known")
+
+
 def test_bound_ratio_validation(capsys):
     code, _, err = run(capsys, ["bound", "--family", "diamond",
                                 "--ratio", "1/0", "--enumerate", "3"])

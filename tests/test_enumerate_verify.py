@@ -9,7 +9,10 @@ from isolation import (
     DIAMOND,
     K2,
     BoundSpec,
+    Graph,
     attachment_invariance_suite,
+    automorphisms,
+    bits,
     canonical_form,
     complete_graph,
     contains_pattern,
@@ -20,6 +23,7 @@ from isolation import (
     encode_g6,
     enumerate_connected,
     extremal_witness_15,
+    induced_subgraph,
     is_connected,
     path_graph,
     random_connected_graph,
@@ -45,7 +49,7 @@ def test_census_stream_is_pinned(census):
         for g in census[n]:
             digest.update((encode_g6(g) + "\n").encode("ascii"))
     assert digest.hexdigest() == (
-        "b87892708f651c4f57120762ac491d58d7af42f3faca12cfc326c954fa837f78")
+        "6c9f9e63de75c197139eaf0387ad2bd53ef754a7b390232790c69b9ae49e225b")
 
 
 def test_census_covers_diamond_and_k4(census):
@@ -151,6 +155,51 @@ def test_level_without_the_degree_bound_yields_the_same_children(monkeypatch):
     monkeypatch.setattr(ev, "_orbit_least_masks",
                         lambda k, gens, bound=0: unbounded(k, gens))
     assert [list(ev._level([p])) for p in parents] == bounded
+
+
+def _relabeled(g, perm):
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _deletions(g):
+    """Mask of the vertices w that pass as the census's canonical deletion
+    of ``g``: g relabeled with w last and judged as ``_level`` judges a
+    child, with a tie set of its own."""
+    from isolation.enumerate_verify import _is_canonical_deletion
+
+    noncut = [v for v in range(g.n) if is_connected(
+        induced_subgraph(g, g.full_mask ^ 1 << v)[0])]
+    top = max(g.degree(v) for v in noncut)
+    passing = 0
+    for w in noncut:
+        if g.degree(w) < top:
+            continue
+        perm = [v - (v > w) for v in range(g.n)]
+        perm[w] = g.n - 1
+        rivals = [perm[v] for v in noncut if v != w and g.degree(v) == top]
+        if _is_canonical_deletion(list(_relabeled(g, perm).adj), rivals, set()):
+            passing |= 1 << w
+    return passing
+
+
+def test_canonical_deletion_reads_no_labels(census):
+    # the vertices that pass form a union of automorphism orbits, a
+    # relabeling maps them onto those of the relabeled graph, and they share
+    # the first key of the deletion order: each class is then reached from
+    # one parent whatever labels its representatives carry
+    rng = random.Random(26)
+    for n in range(1, 8):
+        for g in census[n]:
+            passing = _deletions(g)
+            assert passing
+            for sigma in automorphisms(g):
+                assert sum(1 << sigma[v] for v in bits(passing)) == passing
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert _deletions(_relabeled(g, perm)) == sum(
+                1 << perm[v] for v in bits(passing))
+            assert len({tuple(sorted(g.degree(u) for u in bits(g.adj[w])))
+                        for w in bits(passing)}) == 1
 
 
 # --- bound sweeps ---------------------------------------------------------------

@@ -49,7 +49,6 @@ from .solver import (
     SolveResult,
     copy_closures,
     gamma,
-    greedy_isolating,
     iota_exact,
     is_isolating,
 )

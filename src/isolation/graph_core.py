@@ -157,18 +157,6 @@ def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
     return Graph._trusted(len(old), tuple(rows)), old
 
 
-def _component_of(adj, start: int, within: int) -> int:
-    comp = 1 << start
-    frontier = comp
-    while frontier:
-        grown = 0
-        for v in bits(frontier):
-            grown |= adj[v]
-        frontier = grown & within & ~comp
-        comp |= frontier
-    return comp
-
-
 def components(g: Graph) -> list[int]:
     """Vertex masks of the connected components, ordered by least vertex."""
     return _components_within(g.adj, g.full_mask)
@@ -177,17 +165,17 @@ def components(g: Graph) -> list[int]:
 def _components_within(adj, remaining: int) -> list[int]:
     out = []
     while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        comp = _component_of(adj, start, remaining)
+        comp = frontier = remaining & -remaining
+        while frontier:
+            frontier = _closure(adj, frontier) & remaining & ~comp
+            comp |= frontier
         out.append(comp)
         remaining &= ~comp
     return out
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    return _component_of(g.adj, 0, g.full_mask) == g.full_mask
+    return len(_components_within(g.adj, g.full_mask)) <= 1
 
 
 # --- graph6 codec ---------------------------------------------------------

@@ -30,6 +30,7 @@ from operator import or_
 from .graph_core import (
     MAX_VERTICES,
     Graph,
+    _check_vertex_set,
     _components_within,
     bits,
     canonical_form,
@@ -189,6 +190,7 @@ def contains_pattern(g: Graph, f: PatternFamily, within: int | None = None) -> b
     any-cycle, the mask holds more edges than a spanning forest."""
     if within is None:
         within = g.full_mask
+    _check_vertex_set(g, within)
     if f.kind == ANY_CYCLE_KIND:
         adj = g.adj
         edges = sum((adj[v] & within).bit_count() for v in bits(within)) // 2
@@ -442,6 +444,7 @@ def residual_path_pivot(g: Graph, u: int, within: int | None = None) -> int | No
     checked in place: three vertices and two edges is exactly P3."""
     if within is None:
         within = g.full_mask
+    _check_vertex_set(g, within)
     for v in bits(within & ~(1 << u)):
         rest = within & ~(1 << u | 1 << v | g.adj[v])
         if (rest.bit_count() == 3

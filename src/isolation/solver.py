@@ -49,7 +49,6 @@ selector of the mask (``_select``), under 30 ns an element against about
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import compress
 
@@ -111,7 +110,6 @@ class SolveResult:
     witness: int
     copies_found: int
     nodes_explored: int
-    elapsed: float
 
 
 def is_isolating(g: Graph, f: PatternFamily, s: int) -> bool:
@@ -124,14 +122,6 @@ def copy_closures(g: Graph, f: PatternFamily) -> list[int]:
     generator yields them; hitting all of them is equivalent to isolating
     every copy."""
     return enumerate_copies(g, f, closed=True)
-
-
-def greedy_isolating(g: Graph, f: PatternFamily) -> int:
-    """Valid isolating set built by repeatedly taking the vertex that hits
-    the most still-uncovered closures, each distinct copy closure counted
-    once (ties to least index)."""
-    sets = copy_closures(g, f)
-    return _greedy_hitting(_transpose(sets, g.n), (1 << len(sets)) - 1)
 
 
 def _transpose(rows: list[int], n: int) -> list[int]:
@@ -148,6 +138,8 @@ def _transpose(rows: list[int], n: int) -> list[int]:
 
 
 def _greedy_hitting(cols: list[int], uncovered: int) -> int:
+    """Mask of the vertices a greedy takes until the sets of ``uncovered``
+    are hit, each time the one whose column hits the most (least index)."""
     chosen = 0
     while uncovered:
         best_v = -1
@@ -314,7 +306,6 @@ def iota_exact(g: Graph, f: PatternFamily) -> SolveResult:
     Solves each connected component separately and sums (isolation numbers
     are additive over components).
     """
-    start = time.perf_counter()
     value = 0
     witness = 0
     copies = 0
@@ -335,7 +326,7 @@ def iota_exact(g: Graph, f: PatternFamily) -> SolveResult:
         copies += len(sets)
         value += size
         witness |= local if sub is g else mask_of(old[v] for v in bits(local))
-    return SolveResult(value, witness, copies, nodes, time.perf_counter() - start)
+    return SolveResult(value, witness, copies, nodes)
 
 
 def gamma(g: Graph) -> int:

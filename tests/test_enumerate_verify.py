@@ -308,6 +308,15 @@ def test_parallel_sweep_matches_sequential(census):
     assert seq_rows == par_rows
 
 
+def test_reports_are_values(census):
+    # no field of a report depends on the run: two sweeps of one stream,
+    # serial or on two workers, give equal reports
+    first = sweep(census, DIAMOND, 1, 5, 6)
+    assert first.exceptions and first.extremal
+    assert sweep(census, DIAMOND, 1, 5, 6) == first
+    assert sweep(census, DIAMOND, 1, 5, 6, workers=2) == first
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_verify_bound_refuses_fewer_than_one_worker(workers):
     with pytest.raises(ValueError, match="workers"):

@@ -193,21 +193,28 @@ def test_diamond_fast_path_matches_backtracking(census):
             assert contains_pattern(g, DIAMOND) == contains_pattern(g, needle)
 
 
-def test_contains_iff_copies_nonempty(census):
-    # star(1) and book(2) are P3 and DIAMOND themselves
-    # (test_family_aliases_are_one_object), so they are not listed twice
-    families = [K1, K2, P3, DIAMOND, clique(3), clique(4), star(2), book(3),
-                custom(path_graph(4)), custom(cycle_graph(4))]
-    for n in range(1, 9):
-        for g in census[n]:
-            for f in families:
-                assert contains_pattern(g, f) == bool(enumerate_copies(g, f))
-
-
 # --- containment inside a vertex mask ----------------------------------------
 
 MASK_FAMILIES = [K1, K2, P3, DIAMOND, ANY_CYCLE, clique(3), clique(4), clique(5),
-                 star(2), book(3), custom(decode_g6("Cx"))]
+                 star(2), book(3), custom(decode_g6("Cx")), custom(path_graph(4)),
+                 custom(cycle_graph(4))]
+
+
+@pytest.mark.parametrize("f", [K2, P3, DIAMOND, ANY_CYCLE, custom(path_graph(3))],
+                         ids=lambda f: f.kind)
+def test_masks_outside_the_vertex_set_are_refused(f):
+    # -1 is no vertex set, and bit n names a vertex the graph lacks
+    y = y_graph()
+    for within in (-1, 1 << y.n, y.full_mask | 1 << y.n):
+        with pytest.raises(ValueError, match="vertex set"):
+            contains_pattern(y, f, within)
+
+
+def test_pivot_masks_outside_the_vertex_set_are_refused():
+    y = y_graph()
+    for within in (-1, 1 << y.n, y.full_mask | 1 << y.n):
+        with pytest.raises(ValueError, match="vertex set"):
+            residual_path_pivot(y, 0, within)
 
 
 def residual_mask(g, s):

@@ -12,13 +12,13 @@ without relabeling; a component is copied out only for a canonical form or
 an exact solve of at most 9 vertices.
 
 Rather than transliterating every structural subcase, the pivot is drawn
-from a short candidate list (the maximum-degree anchor, its neighbors, and a
-few boundary vertices of exceptional residual components), and a candidate
-is accepted only when the composed set certifies: it must isolate the whole
-graph and meet the floor(n/5) budget.  Every accepted step is recorded in a
-trace.  The fallback candidates are required, not a safety margin: the
-connected 14-vertex graph ``M`Mo?CB_o??@?BOB?`` (isolation number
-2 = floor(14/5)) certifies only through a fallback pivot.
+from a candidate list (the maximum-degree anchor, its neighbors, then every
+other vertex by distance from the anchor, least first within a distance),
+and a candidate is accepted only when the composed set certifies: it must
+isolate the whole graph and meet the floor(n/5) budget.  Every accepted step
+is recorded in a trace.  The fallback candidates are required, not a safety
+margin: the connected 14-vertex graph ``M`Mo?CB_o??@?BOB?`` (isolation
+number 2 = floor(14/5)) certifies only through a fallback pivot.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from functools import cache
 
 from .graph_core import (
     Graph,
+    _closure,
     _components_within,
     bits,
     canonical_form,
@@ -36,7 +37,7 @@ from .graph_core import (
     is_connected,
     mask_of,
 )
-from .patterns import DIAMOND, contains_pattern, residual_path_pivot, y_graph
+from .patterns import DIAMOND, contains_pattern, y_graph
 from .solver import iota_exact, is_isolating
 
 
@@ -132,12 +133,11 @@ def is_exceptional(g: Graph) -> bool:
 
 
 def _pivot_candidates(g: Graph, keep: int):
-    """Pivot candidates in ``keep`` in order: the anchor (a maximum-degree
-    vertex, or for cubic graphs a degree-3 vertex whose closed neighborhood
-    induces a diamond), its neighbors, then at most 7 fallback vertices
-    around exceptional residual components.  Degrees are taken within
-    ``keep``.  The fallbacks are only worked out once the anchor and all its
-    neighbors have been tried."""
+    """Pivot candidates in the connected mask ``keep`` in order: the anchor
+    (a maximum-degree vertex, or for cubic graphs a degree-3 vertex whose
+    closed neighborhood induces a diamond), its neighbors, then every other
+    vertex of ``keep`` by distance from the anchor, least first within a
+    distance.  Degrees and distances are taken within ``keep``."""
     adj = g.adj
     degs = {v: (adj[v] & keep).bit_count() for v in bits(keep)}
     delta = max(degs.values())
@@ -156,45 +156,12 @@ def _pivot_candidates(g: Graph, keep: int):
     yield anchor, "anchor"
     for u in bits(adj[anchor] & keep):
         yield u, "neighbor"
-
-    extras: list[int] = []
-    region = 1 << anchor | adj[anchor] & keep
-    rest = keep & ~region
-    ranked = []
-    for comp in _components_within(adj, rest):
-        kind = _exceptional_kind(g, comp)
-        if kind == "small":
-            deg3 = [v for v in bits(comp) if (adj[v] & comp).bit_count() == 3]
-            # K4 ranks 0, Y 1, then a diamond with a degree-3 boundary vertex
-            rank = (0 if len(deg3) == 4
-                    else 2 if any(adj[v] & region for v in deg3) else 3)
-        elif kind == "y":
-            rank = 1
-        else:
-            continue
-        ranked.append((rank, comp))
-    # stable: equal ranks keep the components' order by least vertex
-    for rank, comp in sorted(ranked, key=lambda t: t[0]):
-        # keep is connected, so every residual component meets the region
-        x = next(v for v in bits(comp) if adj[v] & region)
-        extras.append(x)
-        extras.extend(bits(adj[x] & comp))
-        if rank == 1:
-            v = residual_path_pivot(g, x, comp)
-            if v is not None:
-                extras.append(v)
-    # a distance-2 vertex from the anchor and one of its outside neighbors
-    for v in bits(rest):
-        if adj[v] & region:
-            extras.append(v)
-            outside = adj[v] & rest
-            if outside:
-                extras.append((outside & -outside).bit_length() - 1)
-            break
-
-    fresh = [v for v in dict.fromkeys(extras) if not region >> v & 1]
-    for v in fresh[:7]:
-        yield v, "fallback"
+    seen = layer = 1 << anchor | adj[anchor] & keep
+    while layer:  # keep is connected: the layers reach all of it
+        layer = _closure(adj, layer) & keep & ~seen
+        seen |= layer
+        for v in bits(layer):
+            yield v, "fallback"
 
 
 def _solve(g: Graph, keep: int, depth: int) -> tuple[int, list[TraceStep]]:

@@ -35,7 +35,6 @@ from .graph_core import (
     bits,
     canonical_form,
     decode_g6,
-    encode_g6,
     is_connected,
     mask_of,
 )
@@ -102,7 +101,7 @@ class PatternFamily:
             if f == self:
                 return name
         if self.kind == CUSTOM_KIND:
-            return f"custom:{encode_g6(self.pattern)}"
+            return f"custom:{self.pattern_key.decode()}"
         return f"{'k' if self.kind == CLIQUE_KIND else self.kind}:{self.k}"
 
 
@@ -437,16 +436,14 @@ class YPropertyReport:
     residual_path_for_every_vertex: bool
 
 
-def residual_path_pivot(g: Graph, u: int, within: int | None = None) -> int | None:
-    """Least vertex v other than u such that deleting u and N[v] from ``g``,
-    or from its subgraph induced on the mask ``within``, leaves exactly a
-    3-vertex path, or None if there is no such vertex.  The residual is
-    checked in place: three vertices and two edges is exactly P3."""
-    if within is None:
-        within = g.full_mask
-    _check_vertex_set(g, within)
-    for v in bits(within & ~(1 << u)):
-        rest = within & ~(1 << u | 1 << v | g.adj[v])
+def residual_path_pivot(g: Graph, u: int) -> int | None:
+    """Least vertex v other than u such that deleting u and N[v] from ``g``
+    leaves exactly a 3-vertex path, or None if there is no such vertex.  The
+    residual is checked in place: three vertices and two edges is exactly P3."""
+    if not 0 <= u < g.n:
+        raise ValueError(f"vertex {u} outside 0..{g.n - 1}")
+    for v in bits(g.full_mask & ~(1 << u)):
+        rest = g.full_mask & ~(1 << u | 1 << v | g.adj[v])
         if (rest.bit_count() == 3
                 and sum((g.adj[w] & rest).bit_count() for w in bits(rest)) == 4):
             return v

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -305,14 +308,30 @@ def test_trace_matches_the_recorded_one(name):
     assert s == mask_of(v for step in trace.steps for v in step.pivots)
 
 
+def check_candidate_order(g, keep):
+    """The candidates in the connected mask ``keep`` are the anchor, its
+    neighbors, then the rest of ``keep`` by distance from the anchor, each
+    distance in increasing order and each vertex once."""
+    cands = list(_pivot_candidates(g, keep))
+    anchor = cands[0][0]
+    dist, queue = {anchor: 0}, [anchor]
+    for u in queue:  # breadth-first: the queue grows while it is read
+        for w in bits(g.adj[u] & keep):
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    assert len(dist) == keep.bit_count()
+    rules = {0: "anchor", 1: "neighbor"}
+    assert cands == [(v, rules.get(dist[v], "fallback"))
+                     for v in sorted(dist, key=lambda v: (dist[v], v))]
+    return cands
+
+
 def test_candidate_list_is_bounded():
     rng = random.Random(505)
     for _ in range(50):
         g = random_connected_graph(rng, rng.randrange(10, 30))
-        delta = max(g.adj[v].bit_count() for v in range(g.n))
-        cands = list(_pivot_candidates(g, g.full_mask))
-        assert len(cands) <= delta + 8
-        assert len({v for v, _ in cands}) == len(cands)
+        check_candidate_order(g, g.full_mask)
 
 
 def test_candidates_on_a_residual_mask_stay_inside_it():
@@ -325,11 +344,7 @@ def test_candidates_on_a_residual_mask_stay_inside_it():
         rest_graph, rest_old = induced_subgraph(g, rest)
         for comp in components(rest_graph):
             keep = mask_of(rest_old[v] for v in bits(comp))
-            cands = list(_pivot_candidates(g, keep))
-            assert all(keep >> v & 1 for v, _ in cands)
-            assert len({v for v, _ in cands}) == len(cands)
-            delta = max((g.adj[v] & keep).bit_count() for v in bits(keep))
-            assert len(cands) <= delta + 8
+            cands = check_candidate_order(g, keep)
             sub, old = induced_subgraph(g, keep)
             assert cands == [(old[v], rule)
                              for v, rule in _pivot_candidates(sub, sub.full_mask)]
@@ -341,6 +356,26 @@ def test_fallback_pivot_is_needed():
     s, trace = certified(decode_g6("M`Mo?CB_o??@?BOB?"))
     assert s.bit_count() == 2
     assert any(step.case == "cut:fallback" for step in trace.steps)
+
+
+# Every graph whose construction takes a cut:fallback step among 3,000
+# perfbench/workloads.py block_composition(rng, (2, 10)) draws followed by 500
+# random_connected_graph(rng, n, p) draws (n from 10, 12, 14, 16, 18, 20, 24;
+# p uniform in [0.05, 0.25]) for each rng = Random(seed), seed 0..299, in the
+# order found; all 209 are block compositions.  The digest pins the set and
+# the trace of each: a change to the candidate order that alters either
+# changes it.
+FALLBACK_CUT = Path(__file__).with_name("data") / "fallback_cut.g6"
+FALLBACK_CUT_DIGEST = "83177c65d278dafefe83a003a7710896528050090f5b38b0b583fb1b0ddf754a"
+
+
+def test_fallback_corpus_is_pinned():
+    h = hashlib.sha256()
+    for line in FALLBACK_CUT.read_text().split():
+        s, trace = certified(decode_g6(line))
+        assert any(step.case == "cut:fallback" for step in trace.steps), line
+        h.update(json.dumps([s, trace.to_dict()]).encode() + b"\n")
+    assert h.hexdigest() == FALLBACK_CUT_DIGEST
 
 
 def test_deep_recursion_strictly_shrinks():

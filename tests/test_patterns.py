@@ -14,7 +14,6 @@ from isolation import (
     Graph,
     PatternFamily,
     UnsupportedFamilyError,
-    bits,
     book,
     book_graph,
     canonical_form,
@@ -72,6 +71,14 @@ def test_parse_family(text, expected):
 def test_parse_family_custom_compares_up_to_isomorphism():
     f = parse_family("custom:C}")
     assert f == custom(diamond_graph())
+
+
+def test_equal_custom_families_share_one_label():
+    # BW and Bo are the path P3 in two labelings: one family, one label
+    a, b = parse_family("custom:BW"), parse_family("custom:Bo")
+    assert a == b and hash(a) == hash(b)
+    assert a.label() == b.label()
+    assert parse_family(a.label()) == a
 
 
 @pytest.mark.parametrize("text", ["widget", "k:x", "star:", "custom:!!"])
@@ -208,13 +215,6 @@ def test_masks_outside_the_vertex_set_are_refused(f):
     for within in (-1, 1 << y.n, y.full_mask | 1 << y.n):
         with pytest.raises(ValueError, match="vertex set"):
             contains_pattern(y, f, within)
-
-
-def test_pivot_masks_outside_the_vertex_set_are_refused():
-    y = y_graph()
-    for within in (-1, 1 << y.n, y.full_mask | 1 << y.n):
-        with pytest.raises(ValueError, match="vertex set"):
-            residual_path_pivot(y, 0, within)
 
 
 def residual_mask(g, s):
@@ -358,18 +358,16 @@ def test_y_properties_fail_for_c9_regularity():
     assert not rep.four_regular
 
 
-def copied_pivot(g, u, within):
-    """The residual-path pivot of u on a relabeled copy of ``within``, mapped
-    back through the index map: the copy is cut down to V - u - N[v] and that
-    residual copy is tested for being a connected 3-vertex, 2-edge graph."""
-    sub, old = induced_subgraph(g, within)
-    su = old.index(u)
-    for v in range(sub.n):
-        if v == su:
+def copied_pivot(g, u):
+    """The residual-path pivot of u found on relabeled copies: ``g`` is cut
+    down to V - u - N[v] and that residual copy is tested for being a
+    connected 3-vertex, 2-edge graph."""
+    for v in range(g.n):
+        if v == u:
             continue
-        rest, _ = induced_subgraph(sub, sub.full_mask & ~(1 << su | 1 << v | sub.adj[v]))
+        rest, _ = induced_subgraph(g, g.full_mask & ~(1 << u | 1 << v | g.adj[v]))
         if rest.n == 3 and rest.edge_count() == 2 and is_connected(rest):
-            return old[v]
+            return v
     return None
 
 
@@ -388,17 +386,15 @@ def y_blocks_on_a_core(rng):
     return Graph.from_edges(n, edges), blocks
 
 
-def check_masked_pivot(g, within):
-    for u in bits(within):
-        assert residual_path_pivot(g, u, within) == copied_pivot(g, u, within), \
-            (encode_g6(g), within, u)
+def check_pivot(g):
+    for u in range(g.n):
+        assert residual_path_pivot(g, u) == copied_pivot(g, u), (encode_g6(g), u)
 
 
 def test_masked_pivot_matches_the_relabeled_copy_on_the_census(census):
-    rng = random.Random(810)
     for n in range(1, 9):
         for g in census[n]:
-            check_masked_pivot(g, rng.getrandbits(n))
+            check_pivot(g)
 
 
 def test_masked_pivot_matches_the_relabeled_copy_on_y_blocks():
@@ -407,12 +403,20 @@ def test_masked_pivot_matches_the_relabeled_copy_on_y_blocks():
     for _ in range(40):
         g, blocks = y_blocks_on_a_core(rng)
         for block in blocks:
-            check_masked_pivot(g, block)
-            found += all(residual_path_pivot(g, u, block) is not None
-                         for u in bits(block))
-        check_masked_pivot(g, g.full_mask)
-        check_masked_pivot(g, rng.getrandbits(g.n))
+            sub, _ = induced_subgraph(g, block)
+            check_pivot(sub)
+            found += all(residual_path_pivot(sub, u) is not None
+                         for u in range(sub.n))
+        check_pivot(g)
     assert found > 0  # every vertex of a whole Y block has a pivot
+
+
+def test_pivot_refuses_vertices_outside_the_graph():
+    # -1 and n name no vertex of Y
+    y = y_graph()
+    for u in (-1, y.n, y.n + 5):
+        with pytest.raises(ValueError, match=f"vertex {u} outside"):
+            residual_path_pivot(y, u)
 
 
 def test_h15_shape_gates():

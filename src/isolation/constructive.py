@@ -58,8 +58,8 @@ class DisconnectedGraphError(ValueError):
 
 
 class BudgetCertificationError(RuntimeError):
-    """No candidate pivot certified within budget: an implementation bug or a
-    counterexample to the bound.  Carries the offending graph6 string."""
+    """No isolating set certified within budget: an implementation bug or a
+    counterexample to the bound.  Carries the input graph's graph6 string."""
 
     def __init__(self, message: str, g6: str):
         super().__init__(f"{message} [{g6}]")
@@ -164,9 +164,9 @@ def _pivot_candidates(g: Graph, keep: int):
             yield v, "fallback"
 
 
-def _solve(g: Graph, keep: int, depth: int) -> tuple[int, list[TraceStep]]:
+def _solve(g: Graph, keep: int, depth: int) -> tuple[int, list[TraceStep]] | None:
     """Isolating set for the connected subgraph of ``g`` induced on ``keep``,
-    plus trace, both in the labels of ``g``.
+    plus trace, both in the labels of ``g``; None if no candidate certifies.
 
     Exceptional graphs are allowed here (they occur as residual components)
     and charged their exact cost; the budget is enforced at each cut and at
@@ -185,8 +185,7 @@ def _solve(g: Graph, keep: int, depth: int) -> tuple[int, list[TraceStep]]:
         sub, old = induced_subgraph(g, keep)
         res = iota_exact(sub, DIAMOND)
         if kind is None and res.value > budget(n):
-            raise BudgetCertificationError(
-                "small-order solve exceeded the budget", encode_g6(sub))
+            return None
         pivots = mask_of(old[v] for v in bits(res.witness))
         case = "exceptional-component" if kind else "small-order-exact"
         return pivots, [TraceStep(case, depth, tuple(bits(pivots)), keep, ())]
@@ -198,12 +197,11 @@ def _solve(g: Graph, keep: int, depth: int) -> tuple[int, list[TraceStep]]:
         substeps: list[TraceStep] = []
         suborders: list[int] = []
         for comp in _components_within(g.adj, keep & ~region):
-            try:
-                picked, steps = _solve(g, comp, depth + 1)
-            except BudgetCertificationError:
+            solved = _solve(g, comp, depth + 1)
+            if solved is None:
                 break
-            chosen |= picked
-            substeps.extend(steps)
+            chosen |= solved[0]
+            substeps.extend(solved[1])
             suborders.append(comp.bit_count())
             if chosen.bit_count() > limit:
                 break
@@ -211,8 +209,7 @@ def _solve(g: Graph, keep: int, depth: int) -> tuple[int, list[TraceStep]]:
             head = TraceStep(f"cut:{rule}", depth, (pivot,), region,
                              tuple(suborders))
             return chosen, [head] + substeps
-    raise BudgetCertificationError("no pivot candidate certified within budget",
-                                   encode_g6(induced_subgraph(g, keep)[0]))
+    return None
 
 
 def isolating_set_n5(g: Graph) -> tuple[int, CaseTrace]:
@@ -228,10 +225,10 @@ def isolating_set_n5(g: Graph) -> tuple[int, CaseTrace]:
     if is_exceptional(g):
         raise ExceptionalGraphError(
             "the diamond, K4 and Y are excluded from the n/5 bound")
-    chosen, steps = _solve(g, g.full_mask, 0)
-    if chosen.bit_count() > budget(g.n):
-        raise BudgetCertificationError("result exceeded budget", encode_g6(g))
-    if not is_isolating(g, DIAMOND, chosen):
-        raise BudgetCertificationError("result failed isolation check",
-                                       encode_g6(g))
+    solved = _solve(g, g.full_mask, 0)
+    if (solved is None or solved[0].bit_count() > budget(g.n)
+            or not is_isolating(g, DIAMOND, solved[0])):
+        raise BudgetCertificationError(
+            "no isolating set certified within budget", encode_g6(g))
+    chosen, steps = solved
     return chosen, CaseTrace(steps)

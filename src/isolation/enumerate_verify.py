@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 import random
+from math import gcd
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations, islice
@@ -378,8 +379,10 @@ def _confirms(g: Graph, family: PatternFamily, value: int) -> bool:
 def default_known_exceptions(family: PatternFamily, numerator: int,
                              denominator: int) -> tuple[bytes, ...]:
     """Published exceptional graphs for the classical bounds this tool can
-    reproduce; empty for anything unrecognized."""
-    ratio = (numerator, denominator)
+    reproduce; empty for anything unrecognized.  The ratio is read in lowest
+    terms, so 2/10 is 1/5."""
+    d = gcd(numerator, denominator) or 1
+    ratio = (numerator // d, denominator // d)
     if family == DIAMOND and ratio == (1, 5):
         return (canonical_form(diamond_graph()),
                 canonical_form(complete_graph(4)),

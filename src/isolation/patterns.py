@@ -10,12 +10,13 @@ Containment is subgraph containment, not induced: ``g`` contains a pattern if
 some injection of the pattern's vertices maps every pattern edge onto an edge
 of ``g``.  A "copy" is represented by a mask: its vertex support, or with
 ``closed`` its closure N[support]; copies are deduplicated by that mask.
-One generator, ``_copies``, lists the copies of a finite family inside a
-vertex mask, each as the OR of a per-vertex row over its vertices: the unit
-row ``1 << v`` gives the support, the row ``adj[v] | 1 << v`` the closure.
-Cliques of every size come from one walk that takes the lowest bit off a
-candidate mask and meets the rest with that vertex's row.  Containment asks
-the generator for a first copy and enumeration takes them all.
+``_copies`` lists the copies of a finite family inside a vertex mask, each
+as the OR of a per-vertex row over its vertices: the unit row ``1 << v``
+gives the support, the row ``adj[v] | 1 << v`` the closure.  It returns the
+family's own generator: one low-bit walk for cliques of every size, one walk
+over a core and its common neighbors for books and stars (a star is a book
+whose spine is one vertex, its centre), and backtracking for custom
+patterns.  Containment asks for a first copy and enumeration takes them all.
 Any-cycle, whose copies are unbounded, is decided by comparing the edge
 count with that of a spanning forest.
 """
@@ -214,44 +215,39 @@ def enumerate_copies(g: Graph, f: PatternFamily, closed: bool = False) -> list[i
 
 
 def _copies(g: Graph, f: PatternFamily, within: int, rows):
-    """Yield, for each copy of the finite family ``f`` in the subgraph
-    induced on the mask ``within``, the OR of ``rows[v]`` over the copy's
-    vertices v: its support when ``rows[v]`` is ``1 << v``, its closed
-    neighborhood when it is ``adj[v] | 1 << v``.  A value may repeat.  Each
-    loop carries the OR of the vertices it has fixed, so a copy costs one
-    OR per vertex it adds.  A clique K_k, K1 and K2 included, is one call
-    into the low-bit walk of ``_cliques``.  Row lists are materialized before
-    ``combinations``, which keeps the peak memory of dense solves down."""
+    """The copies of the finite family ``f`` in the subgraph induced on the
+    mask ``within``, as the family's own generator: for each copy, the OR of
+    ``rows[v]`` over its vertices v, its support when ``rows[v]`` is
+    ``1 << v``, its closed neighborhood when it is ``adj[v] | 1 << v``.  A
+    value may repeat.  A star K_{1,k+1} is a book of k + 1 pages whose spine
+    is one vertex, its centre."""
     kind, k, adj = f.kind, f.k, g.adj
     if kind == CLIQUE_KIND:
-        yield from _cliques(adj, k, within, 0, rows)
-    elif kind == STAR_KIND:
-        for c in bits(within):
-            nbrs = adj[c] & within
-            if nbrs.bit_count() > k:
-                centre = rows[c]
-                leaves = [rows[v] for v in bits(nbrs)]
-                if k == 1:  # P3, unrolled
-                    for a, b in combinations(leaves, 2):
-                        yield centre | a | b
+        return _cliques(adj, k, within, 0, rows)
+    if kind in (STAR_KIND, BOOK_KIND):
+        return _books(adj, k + (kind == STAR_KIND), within, rows, kind == BOOK_KIND)
+    return _embeddings(g, f.pattern, within, rows)
+
+
+def _books(adj, r: int, within: int, rows, spine: bool):
+    """Yield the OR of ``rows`` over each core and r of its common neighbors
+    inside ``within``: the core is a book's spine u < v or, without
+    ``spine``, a star's centre u = v.  Each loop carries the OR of the
+    vertices it has fixed, so a copy costs one OR per vertex it adds.  Page
+    lists are materialized before ``combinations``, which keeps the peak
+    memory of dense solves down."""
+    for u in bits(within):
+        for v in bits(adj[u] & within >> (u + 1) << (u + 1)) if spine else (u,):
+            common = adj[u] & adj[v] & within
+            if common.bit_count() >= r:
+                core = rows[u] | rows[v]
+                pages = [rows[w] for w in bits(common)]
+                if r == 2:  # P3 and the diamond, unrolled: the sweep's hot loop
+                    for a, b in combinations(pages, 2):
+                        yield core | a | b
                 else:
-                    for combo in combinations(leaves, k + 1):
-                        yield reduce(or_, combo, centre)
-    elif kind == BOOK_KIND:
-        for u in bits(within):
-            for v in bits(adj[u] & within >> (u + 1) << (u + 1)):
-                common = adj[u] & adj[v] & within
-                if common.bit_count() >= k:
-                    spine = rows[u] | rows[v]
-                    pages = [rows[w] for w in bits(common)]
-                    if k == 2:  # the diamond, unrolled: the 1/5 sweep's hot loop
-                        for a, b in combinations(pages, 2):
-                            yield spine | a | b
-                    else:
-                        for combo in combinations(pages, k):
-                            yield reduce(or_, combo, spine)
-    elif kind == CUSTOM_KIND:
-        yield from _embeddings(g, f.pattern, within, rows)
+                    for combo in combinations(pages, r):
+                        yield reduce(or_, combo, core)
 
 
 def _cliques(adj, k: int, cand: int, acc: int, rows):

@@ -171,12 +171,35 @@ def test_criterion_7_historical_bounds(census):
                                       canonical_form(complete_graph(3)),
                                       canonical_form(cycle_graph(6))}
 
+    # domination: gamma <= n/2, with equality exactly on C4 and the coronas
+    # H o K1 (Payan & Xuong 1982; Fink, Jacobson, Kinch & Roberts 1985)
+    c4 = canonical_form(cycle_graph(4))
+    extremal = {}
     for n in range(2, 9):
         for g in census[n]:
-            assert gamma(g) <= n // 2
+            value = gamma(g)
+            assert value <= n // 2
+            tight = 2 * value == n
+            assert tight == (is_corona(g) or canonical_form(g) == c4), encode_g6(g)
+            extremal[n] = extremal.get(n, 0) + tight
+    assert extremal == {2: 1, 3: 0, 4: 2, 5: 0, 6: 2, 7: 0, 8: 6}
     report("PASS criterion 7: historical sweeps match exactly "
            "(K2/1-3 -> {C5}; K3/1-4 -> {K3}; cycles/1-4 -> {K3}; "
-           "P3/2-7 -> {P3,C3,C6}; domination <= n/2 for n<=8)")
+           "P3/2-7 -> {P3,C3,C6}; domination <= n/2 for n<=8, with "
+           "equality exactly on C4 and the coronas: 1, 2, 2, 6 at n = 2..8)")
+
+
+def is_corona(g):
+    """Whether ``g`` is a corona H o K1, one leaf hung on each vertex of H
+    (K2 = K1 o K1 included): the edges at its leaves are disjoint and cover
+    every vertex.  Reads leaves and their supports only, with no solver."""
+    pendant = {1 << v | row for v, row in enumerate(g.adj) if row.bit_count() == 1}
+    covered = 0
+    for edge in pendant:
+        if covered & edge:
+            return False
+        covered |= edge
+    return covered == g.full_mask
 
 
 def test_criterion_8_oracle_equivalence(census):

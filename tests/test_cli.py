@@ -184,6 +184,19 @@ def test_bound_allow_known_downgrades_exit(capsys):
     assert len(json_lines(out)) == 1  # only the summary with --quiet
 
 
+@pytest.mark.parametrize("family, ratio, extra", [
+    ("diamond", "2/10", ()), ("k2", "2/6", ("--min-n", "3")), ("p3", "4/14", ()),
+    ("anycycle", "2/8", ()), ("k:4", "2/10", ())])
+def test_bound_allow_known_reads_the_ratio_in_lowest_terms(capsys, family, ratio,
+                                                           extra):
+    # each ratio is a published bound not in lowest terms, whose known
+    # exceptions all occur by order 6 (K2's bound holds from order 3)
+    code, out, _ = run(capsys, ["bound", "--family", family, "--ratio", ratio,
+                                "--enumerate", "6", "--quiet", "--allow-known",
+                                *extra])
+    assert json_lines(out)[-1]["exceptions"] and code == 0
+
+
 def test_bound_allow_known_still_fails_on_novel_exception(capsys, monkeypatch):
     # C5 violates the K2 1/4 ratio but is not among its known exceptions
     code, _, _ = run(capsys, ["bound", "--family", "k2", "--ratio", "1/4",

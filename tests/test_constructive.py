@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import random
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 from isolation import (
     DIAMOND,
+    BudgetCertificationError,
     DisconnectedGraphError,
     ExceptionalGraphError,
     Graph,
@@ -32,6 +34,7 @@ from isolation import (
     random_connected_graph,
     y_graph,
 )
+from isolation.cli import main
 from isolation.constructive import _exceptional_kind, _pivot_candidates
 from oracles import disjoint_union, networkx_graph
 
@@ -144,6 +147,22 @@ def test_rejects_exceptional_inputs():
 def test_rejects_disconnected_input():
     with pytest.raises(DisconnectedGraphError):
         isolating_set_n5(disjoint_union([path_graph(3), path_graph(3)]))
+
+
+def test_a_graph_no_pivot_certifies_is_named_as_the_offender(monkeypatch, capsys):
+    # with no pivot candidate no cut certifies: the error names the input
+    # graph, and the n5 command reports it as the offender and exits 1
+    monkeypatch.setattr("isolation.constructive._pivot_candidates",
+                        lambda g, keep: iter(()))
+    g = extremal_witness_15()
+    with pytest.raises(BudgetCertificationError) as exc:
+        isolating_set_n5(g)
+    assert exc.value.g6 == encode_g6(g)
+    monkeypatch.setattr("sys.stdin", io.StringIO(encode_g6(g) + "\n"))
+    assert main(["n5"]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"] == "certification-failed"
+    assert record["offender"] == encode_g6(g)
 
 
 # --- soundness ----------------------------------------------------------------
@@ -327,7 +346,7 @@ def check_candidate_order(g, keep):
     return cands
 
 
-def test_candidate_list_is_bounded():
+def test_candidates_run_from_the_anchor_by_distance():
     rng = random.Random(505)
     for _ in range(50):
         g = random_connected_graph(rng, rng.randrange(10, 30))

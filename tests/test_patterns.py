@@ -391,13 +391,13 @@ def check_pivot(g):
         assert residual_path_pivot(g, u) == copied_pivot(g, u), (encode_g6(g), u)
 
 
-def test_masked_pivot_matches_the_relabeled_copy_on_the_census(census):
+def test_pivot_matches_the_relabeled_copy_on_the_census(census):
     for n in range(1, 9):
         for g in census[n]:
             check_pivot(g)
 
 
-def test_masked_pivot_matches_the_relabeled_copy_on_y_blocks():
+def test_pivot_matches_the_relabeled_copy_on_y_blocks():
     rng = random.Random(811)
     found = 0
     for _ in range(40):

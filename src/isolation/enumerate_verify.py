@@ -52,6 +52,7 @@ from .graph_core import (
 from .patterns import (
     ANY_CYCLE,
     DIAMOND,
+    K1,
     K2,
     P3,
     PatternFamily,
@@ -387,9 +388,13 @@ def default_known_exceptions(family: PatternFamily, numerator: int,
         return (canonical_form(diamond_graph()),
                 canonical_form(complete_graph(4)),
                 canonical_form(y_graph()))
+    # the graphs K_1 and K_2 are outside the K1 and K2 bounds by hypothesis:
+    # n/2 needs no isolated vertex, and K_1 is one; n/3 needs order 3 or more
+    if family == K1 and ratio == (1, 2):
+        return (canonical_form(complete_graph(1)),)
     if family == K2 and ratio == (1, 3):
-        return (canonical_form(cycle_graph(5)),)
-    # K_k for k >= 3: K2's table is the one above, and K1 lists none
+        return (canonical_form(cycle_graph(5)), canonical_form(complete_graph(2)))
+    # K_k for k >= 3: the K1 and K2 tables are the ones above
     if family.kind == "clique" and family.k >= 3 and ratio == (1, family.k + 1):
         return (canonical_form(complete_graph(family.k)),)
     if family == ANY_CYCLE and ratio == (1, 4):

@@ -232,16 +232,31 @@ def _copies(g: Graph, f: PatternFamily, within: int, rows):
 def _books(adj, r: int, within: int, rows, spine: bool):
     """Yield the OR of ``rows`` over each core and r of its common neighbors
     inside ``within``: the core is a book's spine u < v or, without
-    ``spine``, a star's centre u = v.  Each loop carries the OR of the
-    vertices it has fixed, so a copy costs one OR per vertex it adds.  Page
-    lists are materialized before ``combinations``, which keeps the peak
-    memory of dense solves down."""
-    for u in bits(within):
-        for v in bits(adj[u] & within >> (u + 1) << (u + 1)) if spine else (u,):
-            common = adj[u] & adj[v] & within
+    ``spine``, a star's centre u = v.  u, v and the pages are walked by
+    inline low-bit loops, least first: once u is taken off ``rest``, what is
+    left holds the vertices of ``within`` above u.  Each loop carries the
+    OR of the vertices it has fixed, so a copy costs one OR per vertex it
+    adds.  Page lists are materialized before ``combinations``, which keeps
+    the peak memory of dense solves down."""
+    rest = within
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
+        row = adj[u] & within
+        ends = row & rest if spine else low
+        while ends:
+            end = ends & -ends
+            ends ^= end
+            v = end.bit_length() - 1
+            common = row & adj[v]
             if common.bit_count() >= r:
                 core = rows[u] | rows[v]
-                pages = [rows[w] for w in bits(common)]
+                pages = []
+                while common:
+                    w = common & -common
+                    common ^= w
+                    pages.append(rows[w.bit_length() - 1])
                 if r == 2:  # P3 and the diamond, unrolled: the sweep's hot loop
                     for a, b in combinations(pages, 2):
                         yield core | a | b

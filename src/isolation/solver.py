@@ -27,9 +27,13 @@ The closures are held once, transposed: bit i of ``cols[v]`` is set iff
 vertex v lies in closure i.  The greedy and the branch and bound work on
 masks of closure indices, so a vertex's hit count is one popcount and a
 child's uncovered closures one AND (bit-parallel search; San Segundo,
-Rodriguez-Losada and Jimenez, Comput. Oper. Res. 38(2), 2011).  Every
-family is deduped, sorted by (size, mask) and transposed in C
-(``_transpose``); one search runs over these distinct closures, with no
+Rodriguez-Losada and Jimenez, Comput. Oper. Res. 38(2), 2011).  The
+search takes its family distinct and in increasing order, and does no
+dedupe of its own: ``copy_closures`` dedupes and sorts once, the triangle
+seed comes sorted, and each cycle closure goes in by ``insort`` (it is new:
+the last witness hits every earlier closure and misses it).  One stable
+sort by size puts the family in (size, mask) order, and it is transposed in
+C (``_transpose``); one search runs over these distinct closures, with no
 subset filter: a superset closure is hit whenever its subset is, so it
 changes no value, and its extra vertices only widen the search.  The
 greedy over them is the incumbent, and the search ends as soon as it meets
@@ -49,6 +53,7 @@ selector of the mask (``_select``), under 30 ns an element against about
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import compress
 
@@ -180,11 +185,14 @@ def _undominated(sets: list[int], cols: list[int]) -> int:
 def _solve_hitting(sets: list[int], n: int, lower: int,
                    dominate: bool = False) -> tuple[int, int, int]:
     """Minimum hitting set over nonempty vertex masks, given a proven lower
-    bound ``lower`` on its size.
+    bound ``lower`` on its size.  ``sets`` must be distinct and in
+    increasing order, as ``copy_closures`` returns them: no dedupe is done
+    here, and a repeat or an unsorted family changes the witness and the
+    node count.
 
     Returns (size, witness mask, nodes explored); the exhausted branch and
     bound certifies that no smaller hitting set exists.  The search runs on
-    the distinct sets in (size, mask) order, from the greedy over them, and
+    the sets in (size, mask) order, from the greedy over them, and
     ends at the first hitting set of the root bound's size, max(``lower``,
     disjoint packing, ceil(|sets| / most)): nothing can beat it.  A node
     one vertex short of the incumbent places the least unbanned vertex of
@@ -194,10 +202,9 @@ def _solve_hitting(sets: list[int], n: int, lower: int,
     reads the columns only of vertices in those sets, so it never branches
     on or places a dropped vertex; the greedy incumbent is kept as it is.
     """
-    # sorted by mask, so repeats are adjacent and dict.fromkeys drops them in
-    # order, then stably by size: (size, mask) order, cheaper than a set when
-    # the input comes sorted
-    sets = sorted(dict.fromkeys(sorted(sets)), key=int.bit_count)
+    # distinct and sorted by mask on entry, so one stable sort by size gives
+    # (size, mask) order
+    sets = sorted(sets, key=int.bit_count)
     cols = _transpose(sets, n)
     full = (1 << len(sets)) - 1
     best = _greedy_hitting(cols, full)
@@ -277,7 +284,7 @@ def _solve_hitting(sets: list[int], n: int, lower: int,
 def _triangle_closures(adj) -> list[int]:
     """The distinct N[{u, v, w}] = adj[u] | adj[v] | adj[w] over the
     triangles u < v < w of the graph with rows ``adj``, however many
-    triangles share one.  The neighbours of u above u are taken lowest
+    triangles share one, in increasing order.  The neighbours of u above u are taken lowest
     first, so when v is taken, ``rest & adj[v]`` is the set of common
     neighbours w above v.  Seeding from ``copy_closures(sub, clique(3))``
     instead gives the same sets, but made the perfbench ``solve_ring``
@@ -297,7 +304,7 @@ def _triangle_closures(adj) -> list[int]:
                     w = third & -third
                     third ^= w
                     out.add(both | adj[w.bit_length() - 1])
-    return list(out)
+    return sorted(out)
 
 
 def iota_exact(g: Graph, f: PatternFamily) -> SolveResult:
@@ -322,7 +329,7 @@ def iota_exact(g: Graph, f: PatternFamily) -> SolveResult:
                 sub, sub.full_mask & ~_closure(sub.adj, local))
             if not cycle:
                 break
-            sets.append(_closure(sub.adj, cycle))
+            insort(sets, _closure(sub.adj, cycle))
         copies += len(sets)
         value += size
         witness |= local if sub is g else mask_of(old[v] for v in bits(local))

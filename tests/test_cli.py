@@ -197,6 +197,20 @@ def test_bound_allow_known_reads_the_ratio_in_lowest_terms(capsys, family, ratio
     assert json_lines(out)[-1]["exceptions"] and code == 0
 
 
+@pytest.mark.parametrize("family, ratio, order, graph", [
+    ("k1", "1/2", "5", "@"), ("k2", "1/3", "6", "A_")])
+def test_bound_allow_known_from_order_one(capsys, family, ratio, order, graph):
+    # K_1 has an isolated vertex and K_2 order 2, so the K1 and K2 bounds
+    # exclude them by hypothesis: a sweep from order 1 lists them but, with
+    # --allow-known, passes
+    argv = ["bound", "--family", family, "--ratio", ratio,
+            "--enumerate", order, "--quiet"]
+    code, out, _ = run(capsys, argv + ["--allow-known"])
+    assert code == 0 and graph in json_lines(out)[-1]["exceptions"]
+    code, out, _ = run(capsys, argv)
+    assert code == 1 and graph in json_lines(out)[-1]["exceptions"]
+
+
 def test_bound_allow_known_still_fails_on_novel_exception(capsys, monkeypatch):
     # C5 violates the K2 1/4 ratio but is not among its known exceptions
     code, _, _ = run(capsys, ["bound", "--family", "k2", "--ratio", "1/4",

@@ -344,17 +344,20 @@ def test_default_known_exceptions_tables():
     assert set(default_known_exceptions(DIAMOND, 1, 5)) == {
         canonical_form(diamond_graph()), canonical_form(complete_graph(4)),
         canonical_form(y_graph())}
-    assert default_known_exceptions(K2, 1, 3) == (canonical_form(cycle_graph(5)),)
+    assert default_known_exceptions(K2, 1, 3) == (
+        canonical_form(cycle_graph(5)), canonical_form(complete_graph(2)))
     assert default_known_exceptions(clique(3), 1, 4) == (
         canonical_form(complete_graph(3)),)
     assert set(default_known_exceptions(P3, 2, 7)) == {
         canonical_form(path_graph(3)), canonical_form(complete_graph(3)),
         canonical_form(cycle_graph(6))}
     assert default_known_exceptions(DIAMOND, 1, 4) == ()
-    # K1 and K2 are cliques, but the K_k table starts at k = 3
-    assert default_known_exceptions(K1, 1, 2) == ()
+    # K1 and K2 are cliques, but the K_k table starts at k = 3: their own
+    # tables list the graphs their bounds exclude by hypothesis
+    assert default_known_exceptions(K1, 1, 2) == (canonical_form(complete_graph(1)),)
+    assert default_known_exceptions(K1, 1, 3) == ()
     assert default_known_exceptions(clique(2), 1, 3) == (
-        canonical_form(cycle_graph(5)),)
+        canonical_form(cycle_graph(5)), canonical_form(complete_graph(2)))
     assert default_known_exceptions(book(1), 1, 4) == (
         canonical_form(complete_graph(3)),)
     assert default_known_exceptions(clique(4), 1, 5) == (

@@ -2,6 +2,8 @@ import dataclasses
 import math
 import random
 import re
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -33,6 +35,7 @@ from isolation import (
     is_connected,
     is_isolating,
     make_named,
+    mask_of,
     parse_family,
     path_graph,
     random_connected_graph,
@@ -268,6 +271,36 @@ def test_masked_copies_match_brute_force_on_the_census(census):
                 for f in FINITE_MASK_FAMILIES:
                     assert set(_copies(g, f, within, units)) == \
                         copies_brute(g.adj, within, f), (encode_g6(g), within, f.label())
+
+
+def yields_brute(adj, within, f):
+    """How often the copy generator yields each support of a star or book
+    family inside ``within``: for a book, the spines (an edge of the
+    support) both of whose ends are adjacent to every page; for a star, the
+    centres adjacent to every leaf."""
+    counts = Counter()
+    verts = [v for v in range(len(adj)) if within >> v & 1]
+    for support in combinations(verts, f.k + 2):
+        s = mask_of(support)
+        for core in combinations(support, 1 + (f.kind == "book")):
+            pages = s & ~mask_of(core)
+            if all(adj[c] & pages == pages for c in core) and \
+                    (len(core) == 1 or adj[core[0]] >> core[1] & 1):
+                counts[s] += 1
+    return counts
+
+
+@pytest.mark.parametrize("f", [P3, star(2), star(3), DIAMOND, book(3)],
+                         ids=lambda f: f.label())
+def test_each_copy_is_yielded_once_per_core(census, f):
+    # a set comparison cannot see a spine or a centre walked twice
+    rng = random.Random(812)
+    for n in range(1, 8):
+        units = [1 << v for v in range(n)]
+        for g in census[n]:
+            for within in (g.full_mask, rng.getrandbits(n)):
+                assert Counter(_copies(g, f, within, units)) == \
+                    yields_brute(g.adj, within, f), (encode_g6(g), within)
 
 
 def test_enumerate_copies_matches_brute_force_on_the_census(census):

@@ -221,11 +221,11 @@ def test_any_cycle_circulant_closed_form(n):
 
 def test_triangle_closures_are_the_clique_closures(census):
     # the seeded closures are the distinct N[support] of the K3 copies, each
-    # once however many triangles share it
+    # once however many triangles share it, in increasing order
     def check(g):
         copies = enumerate_copies(g, clique(3))
         expected = {closed_neighborhood(g, c) for c in copies}
-        assert sorted(_triangle_closures(g.adj)) == sorted(expected)
+        assert _triangle_closures(g.adj) == sorted(expected)
 
     for n in range(1, 8):
         for g in census[n]:
@@ -467,8 +467,9 @@ def test_search_matches_the_reference_on_random_families():
     rng = random.Random(47)
     for _ in range(300):
         n = rng.randrange(1, 16)
-        sets = [mask_of(rng.sample(range(n), rng.randint(1, min(n, 5))))
-                for _ in range(rng.randrange(1, 30))]
+        # _solve_hitting takes distinct masks in increasing order
+        sets = sorted({mask_of(rng.sample(range(n), rng.randint(1, min(n, 5))))
+                       for _ in range(rng.randrange(1, 30))})
         size = _check_against_reference(sets, n)
         # a proven lower bound ends the search at the first set of its size
         _check_against_reference(sets, n, size)
@@ -477,8 +478,8 @@ def test_search_matches_the_reference_on_random_families():
     # int digits; dense enough that the plain reference search stays quick
     for _ in range(8):
         n = rng.randrange(65, 131)
-        sets = [mask_of(rng.sample(range(n), int(n * rng.uniform(0.35, 0.95))))
-                for _ in range(rng.randrange(70, 130))]
+        sets = sorted({mask_of(rng.sample(range(n), int(n * rng.uniform(0.35, 0.95))))
+                       for _ in range(rng.randrange(70, 130))})
         size = _check_against_reference(sets, n)
         _check_against_reference(sets, n, max(size - 1, 0))
 
@@ -515,7 +516,8 @@ def test_dominance_keeps_the_value_of_the_plain_search():
         live = _undominated(rows, _transpose(rows, n))
         greedy = list_greedy(rows, n).bit_count()
         for lower in (0, max(value - 1, 0), value):
-            size, witness, nodes = _solve_hitting(sets, n, lower, dominate=True)
+            size, witness, nodes = _solve_hitting(sorted(set(sets)), n, lower,
+                                                  dominate=True)
             assert size == value
             assert witness.bit_count() == size and all(s & witness for s in sets)
             if size < greedy:  # found by the search, which takes live vertices
@@ -608,9 +610,44 @@ def test_small_family_is_settled_at_the_root():
     # over all six closures, {1, 2, 3}, is the answer; the greedy over the
     # five minimal ones ({1, 2, 5} contains {2, 5}) would give {0, 2, 3}
     sets = [472, 515, 38, 36, 153, 654]
-    assert _solve_hitting(sets, 10, 0) == (3, 14, 1)
+    assert _solve_hitting(sorted(set(sets)), 10, 0) == (3, 14, 1)
     assert reference_hitting(sets, 10, settle_root=True) == (3, 14, 1)
     assert reference_hitting(sets, 10)[0] == 3
+
+
+def test_every_search_gets_distinct_masks_in_increasing_order(census,
+                                                            monkeypatch):
+    # _solve_hitting leaves the dedupe to its callers: every family, and
+    # every any-cycle round after a cycle closure is inserted, must come in
+    # as nonempty masks, strictly increasing
+    import isolation.solver
+
+    rounds = []
+    search = isolation.solver._solve_hitting
+
+    def checked(sets, n, lower, dominate=False):
+        assert all(sets) and all(a < b for a, b in zip(sets, sets[1:]))
+        rounds.append(len(sets))
+        return search(sets, n, lower, dominate)
+
+    monkeypatch.setattr(isolation.solver, "_solve_hitting", checked)
+    families = [parse_family(name)
+                for name in ("k1", "k2", "p3", "diamond", "k:4", "anycycle")]
+    for n in range(1, 7):
+        for g in census[n]:
+            for f in families:
+                iota_exact(g, f)
+    searched = len(rounds)
+    rng = random.Random(89)
+    for _ in range(6):
+        g = random_connected_graph(rng, rng.randrange(20, 31), 0.05)
+        before = len(rounds)
+        res = iota_exact(g, ANY_CYCLE)
+        assert is_isolating(g, ANY_CYCLE, res.witness)
+        assert len(rounds) - before >= 4  # cycle closures were inserted
+    # one search a connected graph and finite family, at least one for
+    # any-cycle
+    assert searched >= 6 * sum(len(census[n]) for n in range(1, 7))
 
 
 def test_hit_count_bound_keeps_the_dense_n60_search_small():

@@ -204,7 +204,7 @@ def enumerate_connected(n: int):
     from the parent left by deleting its canonical non-cut vertex, through
     one attachment set per parent automorphism orbit.  Orders up to 8 are
     cached after the first call; ``n = 9`` streams its 261,080 classes in
-    10-15 s on a 2-core VM once order 8 is cached.
+    about 11 s on 2 vCPUs once order 8 is cached.
     """
     if not 1 <= n <= MAX_BUILTIN_ORDER:
         raise ValueError(f"built-in enumeration covers 1..{MAX_BUILTIN_ORDER}")

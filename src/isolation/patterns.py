@@ -202,8 +202,9 @@ def contains_pattern(g: Graph, f: PatternFamily, within: int | None = None) -> b
 
 def enumerate_copies(g: Graph, f: PatternFamily, closed: bool = False) -> list[int]:
     """Vertex-support masks of all copies of ``f`` in ``g``, or with
-    ``closed`` their closed neighborhoods N[support], deduplicated and
-    sorted; raises for the (infinite) any-cycle family."""
+    ``closed`` their closed neighborhoods N[support], each once, first
+    yielded first (a dict's order, defined where a set's is not; no solver
+    witness depends on it); raises for the (infinite) any-cycle family."""
     if not f.finite:
         raise UnsupportedFamilyError(
             "the any-cycle family has unbounded copies; use a structural check")
@@ -211,7 +212,7 @@ def enumerate_copies(g: Graph, f: PatternFamily, closed: bool = False) -> list[i
         rows = [row | 1 << v for v, row in enumerate(g.adj)]
     else:
         rows = [1 << v for v in range(g.n)]
-    return sorted(set(_copies(g, f, g.full_mask, rows)))
+    return list(dict.fromkeys(_copies(g, f, g.full_mask, rows)))
 
 
 def _copies(g: Graph, f: PatternFamily, within: int, rows):

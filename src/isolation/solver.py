@@ -28,27 +28,29 @@ vertex v lies in closure i.  The greedy and the branch and bound work on
 masks of closure indices, so a vertex's hit count is one popcount and a
 child's uncovered closures one AND (bit-parallel search; San Segundo,
 Rodriguez-Losada and Jimenez, Comput. Oper. Res. 38(2), 2011).  The
-search takes its family distinct and in increasing order, and does no
-dedupe of its own: ``copy_closures`` dedupes and sorts once, the triangle
-seed comes sorted, and each cycle closure goes in by ``insort`` (it is new:
-the last witness hits every earlier closure and misses it).  One stable
-sort by size puts the family in (size, mask) order, and it is transposed in
-C (``_transpose``); one search runs over these distinct closures, with no
-subset filter: a superset closure is hit whenever its subset is, so it
-changes no value, and its extra vertices only widen the search.  The
-greedy over them is the incumbent, and the search ends as soon as it meets
-the root bound, max(lower, packing, ceil(m / most)); when the greedy meets
-it already, no search runs.  A node where only one more vertex can beat the
-incumbent places that vertex without visiting a child: it must lie in every
-uncovered closure, so the meet of those closures' rows (``_meet``) gives
-the candidates, and its least unbanned vertex is the child the branching
-would try first.  The meet stops at the first row that leaves it empty,
-so it reads a few rows where a pass over the columns reads all n: on 80
-vertices and about 360 edges, a median of 6 rows of 62 uncovered
-closures.  Each other search node selects its uncovered closures, and the
-columns of its selectable vertices, in C by ``compress`` over a byte
-selector of the mask (``_select``), under 30 ns an element against about
-200 ns for a lowest-bit loop.
+search takes its family distinct, in any order, and does no dedupe of its
+own: ``copy_closures`` keeps each closure once, in the order the copy
+generator first yields it, the triangle seed comes sorted, and each cycle
+closure goes in by ``insort`` (it is new: the last witness hits every
+earlier closure and misses it).  That order cannot change a witness: the
+greedy and the branching rank vertices by (hit count, index), the pick ranks
+closures by (count, mask), ``most`` is a maximum and a meet is the whole
+intersection; only the packings read the order.  The family, sorted stably
+by size, is transposed in C (``_transpose``), with no subset filter: a
+superset closure is hit whenever its subset is, so it changes no value, and
+its extra vertices only widen the search.  The greedy over it is the
+incumbent, and the search ends as soon as it meets the root bound,
+max(lower, packing, ceil(m / most)); when the greedy meets it already, no
+search runs.  A node where only one more vertex can beat the incumbent
+places that vertex without visiting a child: it must lie in every uncovered
+closure, so the meet of those closures' rows (``_meet``) gives the
+candidates, and its least unbanned vertex is the child the branching would
+try first.  The meet stops at the first row that leaves it empty, so it
+reads a few rows where a pass over the columns reads all n: on 80 vertices
+and about 360 edges, a median of 6 rows of 62 uncovered closures.  Each
+other search node selects its uncovered closures, and the columns of its
+selectable vertices, in C by ``compress`` over a byte selector of the mask
+(``_select``), under 30 ns an element against 200 ns for a lowest-bit loop.
 """
 
 from __future__ import annotations
@@ -123,9 +125,9 @@ def is_isolating(g: Graph, f: PatternFamily, s: int) -> bool:
 
 
 def copy_closures(g: Graph, f: PatternFamily) -> list[int]:
-    """The distinct closed neighborhoods of the copies, sorted, as the copy
-    generator yields them; hitting all of them is equivalent to isolating
-    every copy."""
+    """The distinct closed neighborhoods of the copies, in the order the
+    copy generator first yields them; hitting all of them is equivalent to
+    isolating every copy.  ``_solve_hitting`` takes them in any order."""
     return enumerate_copies(g, f, closed=True)
 
 
@@ -185,25 +187,20 @@ def _undominated(sets: list[int], cols: list[int]) -> int:
 def _solve_hitting(sets: list[int], n: int, lower: int,
                    dominate: bool = False) -> tuple[int, int, int]:
     """Minimum hitting set over nonempty vertex masks, given a proven lower
-    bound ``lower`` on its size.  ``sets`` must be distinct and in
-    increasing order, as ``copy_closures`` returns them: no dedupe is done
-    here, and a repeat or an unsorted family changes the witness and the
-    node count.
+    bound ``lower`` on its size.  ``sets`` must be distinct, in any order,
+    as ``copy_closures`` returns them: no dedupe is done here, and a repeat
+    changes the witness and the node count; the order moves only the node
+    count.
 
     Returns (size, witness mask, nodes explored); the exhausted branch and
-    bound certifies that no smaller hitting set exists.  The search runs on
-    the sets in (size, mask) order, from the greedy over them, and
+    bound certifies that no smaller hitting set exists.  The search, as the
+    module docstring describes it, runs on the sets in increasing size and
     ends at the first hitting set of the root bound's size, max(``lower``,
-    disjoint packing, ceil(|sets| / most)): nothing can beat it.  A node
-    one vertex short of the incumbent places the least unbanned vertex of
-    the meet of its uncovered sets, read smallest first and stopped at the
-    first empty row, and visits no child.  With ``dominate``, the search
-    runs over the sets restricted to the ``_undominated`` vertices, and
-    reads the columns only of vertices in those sets, so it never branches
-    on or places a dropped vertex; the greedy incumbent is kept as it is.
+    disjoint packing, ceil(|sets| / most)).  With ``dominate``, it runs
+    over the sets restricted to the ``_undominated`` vertices, and reads
+    the columns only of vertices in those sets, so it never branches on or
+    places a dropped vertex; the greedy incumbent is kept as it is.
     """
-    # distinct and sorted by mask on entry, so one stable sort by size gives
-    # (size, mask) order
     sets = sorted(sets, key=int.bit_count)
     cols = _transpose(sets, n)
     full = (1 << len(sets)) - 1
@@ -216,6 +213,9 @@ def _solve_hitting(sets: list[int], n: int, lower: int,
         if not s & used:
             packing += 1
             used |= s
+            # the later sets are no smaller, so none fits in what is left
+            if n - used.bit_count() < s.bit_count():
+                break
     bound = max(lower, packing, -(-len(sets) // max(map(int.bit_count, cols))))
     if best_size <= bound:
         return best_size, best, 1  # settled at the root, one node
@@ -283,13 +283,12 @@ def _solve_hitting(sets: list[int], n: int, lower: int,
 
 def _triangle_closures(adj) -> list[int]:
     """The distinct N[{u, v, w}] = adj[u] | adj[v] | adj[w] over the
-    triangles u < v < w of the graph with rows ``adj``, however many
-    triangles share one, in increasing order.  The neighbours of u above u are taken lowest
+    triangles u < v < w of the graph with rows ``adj``, however many share
+    one, in increasing order.  The neighbours of u above u are taken lowest
     first, so when v is taken, ``rest & adj[v]`` is the set of common
     neighbours w above v.  Seeding from ``copy_closures(sub, clique(3))``
-    instead gives the same sets, but made the perfbench ``solve_ring``
-    median 7.5% slower (3 of 3 pairs) and ``sweep`` about 5% slower, so
-    the any-cycle seed keeps this loop."""
+    gives the same sets, but made the perfbench ``solve_ring`` median 7.5%
+    slower (3 of 3 pairs) and ``sweep`` about 5% slower."""
     out = set()
     for u, row in enumerate(adj):
         rest = row >> u + 1 << u + 1

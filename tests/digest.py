@@ -1,0 +1,84 @@
+"""Pinned digests of the exact solves over the connected census.
+
+Each class up to the given order is solved in its canonical labeling, order
+by order in key order, so the census's choice of representatives does not
+enter a digest; one graph with isolated vertices follows them.  Two SHA-256
+digests are kept per order, family by family: one of the outputs (value,
+witness and ``copies_found``), which a change to the copy or closure layer
+must leave alone, and one of ``nodes_explored``, which moves whenever the
+searched tree does.
+
+Stdlib only, so it runs on an interpreter without pytest:
+
+    PYTHONPATH=src python tests/digest.py
+
+recomputes the n <= 7 digests, prints them, and exits 1 on a mismatch.
+The test suite checks the same pins (and n <= 8 in its extended job).
+"""
+
+import hashlib
+import sys
+
+from isolation import (
+    book_graph,
+    canonical_form,
+    complete_graph,
+    cycle_graph,
+    decode_g6,
+    enumerate_connected,
+    iota_exact,
+    parse_family,
+    path_graph,
+)
+from oracles import disjoint_union
+
+PINNED_FAMILIES = ("k1", "k2", "p3", "k:3", "diamond", "k:4", "star:2", "book:3",
+                   "anycycle", "custom:Ch")  # Ch is the path P4
+PINNED_OUTPUTS = {
+    7: "de8b70c0b2d0767883f6626656cb8c308caf51d667ae2eceb9ace262f3884ca7",
+    8: "235281cc3c685a3f79815c8273ac4f3ba04b20be8ccebb2ec803af773c98b4b6",
+}
+PINNED_NODES = {
+    7: "8184f0bd55cc55f832113d8b25739def13bfac88df252d44db6cf5d9ec1ad228",
+    8: "30fda4da77bbceb5343bbff5b1028588474122f849293962f7b6793bbd5128ce",
+}
+
+
+def pinned_graphs(levels):
+    """The classes of ``levels`` (the census of orders 1, 2, ... in turn),
+    each in its canonical labeling and in key order within its order, then
+    one graph with isolated vertices."""
+    isolated = disjoint_union([path_graph(1), complete_graph(4), path_graph(1),
+                               book_graph(3), cycle_graph(5), path_graph(1)])
+    keys = [key for level in levels
+            for key in sorted(canonical_form(g) for g in level)]
+    return [decode_g6(key.decode()) for key in keys] + [isolated]
+
+
+def solve_digests(graphs):
+    """(outputs digest, nodes digest) of every pinned family's solves of
+    ``graphs``."""
+    outputs, nodes = hashlib.sha256(), hashlib.sha256()
+    for spec in PINNED_FAMILIES:
+        f = parse_family(spec)
+        for g in graphs:
+            res = iota_exact(g, f)
+            outputs.update(
+                f"{spec} {res.value} {res.witness} {res.copies_found}\n".encode())
+            nodes.update(f"{spec} {res.nodes_explored}\n".encode())
+    return outputs.hexdigest(), nodes.hexdigest()
+
+
+def main():
+    top = 7
+    got = solve_digests(pinned_graphs(enumerate_connected(n)
+                                      for n in range(1, top + 1)))
+    want = PINNED_OUTPUTS[top], PINNED_NODES[top]
+    for name, digest, pin in zip(("outputs", "nodes"), got, want):
+        verdict = "ok" if digest == pin else f"MISMATCH, pinned {pin}"
+        print(f"{name}[{top}] {digest} {verdict}")
+    return 0 if got == want else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

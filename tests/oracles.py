@@ -187,14 +187,15 @@ def reference_hitting(sets, n, lower=0, settle_root=False):
     ``lower`` ends the search.  Returns (size, witness mask, nodes).
 
     With ``settle_root``, the search models the solver's engine: it runs on
-    all the distinct sets in (size, mask) order, from ``list_greedy`` over
-    them, and ends at the root bound, the largest of ``lower``, a disjoint
-    packing over the sets in that order and ceil(count / most sets one
-    vertex lies in).  A greedy that meets ``lower`` is returned with no
-    node, one that meets the root bound with one node."""
+    all the distinct sets by increasing size, ties in the order first given,
+    from ``list_greedy`` over them, and ends at the root bound, the largest
+    of ``lower``, a disjoint packing over the sets in that order and
+    ceil(count / most sets one vertex lies in).  A greedy that meets
+    ``lower`` is returned with no node, one that meets the root bound with
+    one node."""
     stop = lower
     if settle_root:
-        family = sorted(set(sets), key=lambda s: (s.bit_count(), s))
+        family = sorted(dict.fromkeys(sets), key=int.bit_count)
         best = list_greedy(family, n)
         size = best.bit_count()
         if size <= lower:

@@ -1,5 +1,4 @@
 import gc
-import hashlib
 import os
 import random
 from itertools import combinations, compress
@@ -15,8 +14,6 @@ from isolation import (
     P3,
     Graph,
     bits,
-    book_graph,
-    canonical_form,
     circulant_graph,
     clique,
     complete_graph,
@@ -25,6 +22,7 @@ from isolation import (
     cycle_graph,
     decode_g6,
     diamond_graph,
+    encode_g6,
     enumerate_copies,
     extremal_witness_15,
     gamma,
@@ -45,6 +43,13 @@ from isolation.solver import (
     _transpose,
     _triangle_closures,
     _undominated,
+)
+from digest import (
+    PINNED_FAMILIES,
+    PINNED_NODES,
+    PINNED_OUTPUTS,
+    pinned_graphs,
+    solve_digests,
 )
 from oracles import (
     disjoint_union,
@@ -140,7 +145,7 @@ def test_greedy_matches_the_list_greedy_over_distinct_closures(census):
     for f in families:
         for g in graphs:
             closures = copy_closures(g, f)
-            assert closures == sorted(set(closures))
+            assert len(set(closures)) == len(closures)
             assert greedy_isolating(g, f) == list_greedy(closures, g.n)
 
 
@@ -251,31 +256,6 @@ def test_any_cycle_pinned_rings(i):
     assert is_isolating(g, ANY_CYCLE, res.witness)
 
 
-# SHA-256 of (value, witness, nodes explored) of every solve, family by
-# family, over the connected classes up to the given order and one graph with
-# isolated vertices: a change to the copy or closure layer that alters a
-# value, a witness or the searched tree changes the digest.  Each class is
-# solved in its canonical labeling, order by order in key order, so the
-# census's choice of representatives does not enter the digest.
-PINNED_FAMILIES = ("k1", "k2", "p3", "k:3", "diamond", "k:4", "star:2", "book:3",
-                   "anycycle", "custom:Ch")  # Ch is the path P4
-PINNED_SOLVES = {
-    7: "f99f29bfaccdbf3c3cfda504b80c726de8546b5902ec3b874c032fcddb119592",
-    8: "7a07a44af3269d3042b906ff9eaec25a1633e3ee54222072feef4735443246bd",
-}
-
-
-def _solve_digest(graphs):
-    h = hashlib.sha256()
-    for spec in PINNED_FAMILIES:
-        f = parse_family(spec)
-        for g in graphs:
-            res = iota_exact(g, f)
-            h.update(f"{spec} {res.value} {res.witness} {res.nodes_explored}\n"
-                     .encode())
-    return h.hexdigest()
-
-
 @pytest.mark.parametrize("top", [
     7,
     pytest.param(8, marks=pytest.mark.skipif(
@@ -284,12 +264,10 @@ def _solve_digest(graphs):
                "set ISOLATION_EXTENDED=1 to run")),
 ])
 def test_census_solves_are_pinned(census, top):
-    isolated = disjoint_union([path_graph(1), complete_graph(4), path_graph(1),
-                               book_graph(3), cycle_graph(5), path_graph(1)])
-    keys = [key for n in range(1, top + 1)
-            for key in sorted(canonical_form(g) for g in census[n])]
-    graphs = [decode_g6(key.decode()) for key in keys] + [isolated]
-    assert _solve_digest(graphs) == PINNED_SOLVES[top]
+    # the pins and how they are taken live in tests/digest.py, which also
+    # runs without pytest
+    graphs = pinned_graphs(census[n] for n in range(1, top + 1))
+    assert solve_digests(graphs) == (PINNED_OUTPUTS[top], PINNED_NODES[top])
 
 
 @pytest.mark.parametrize("spec", PINNED_FAMILIES)
@@ -313,6 +291,17 @@ def test_deletion_inequality_exhaustive(census):
                 left = g.full_mask & ~closed_neighborhood(g, 1 << v)
                 residual, _ = induced_subgraph(g, left)
                 assert whole <= 1 + iota_exact(residual, DIAMOND).value
+
+
+def test_isolation_numbers_follow_the_containment_chain(census):
+    # if H is a subgraph of H', every H-isolating set is H'-isolating, so
+    # iota(G, H') <= iota(G, H); K3 is one of the cycles
+    chain = [parse_family(spec) for spec in ("k1", "k2", "p3", "k:3", "diamond", "k:4")]
+    for n in range(1, 8):
+        for g in census[n]:
+            values = [iota_exact(g, f).value for f in chain]
+            assert values == sorted(values, reverse=True), encode_g6(g)
+            assert iota_exact(g, ANY_CYCLE).value >= values[3], encode_g6(g)
 
 
 def test_component_additivity_on_random_unions():
@@ -430,9 +419,10 @@ def _packing(sets):
 
 
 def test_sorted_packing_equals_the_packing_of_the_minimal_sets(census):
-    # a superset follows its subsets in (size, mask) order, so it always
+    # a superset follows its subsets in any order by size, so it always
     # meets the packed vertices: the packing over the distinct closures,
-    # which the root bound takes, is that of the minimal ones
+    # which the root bound takes, is that of the minimal ones in the same
+    # order, here (size, mask)
     def check(sets):
         rows = sorted(set(sets), key=lambda s: (s.bit_count(), s))
         assert _packing(rows) == _packing(minimal_family(sets))
@@ -593,6 +583,24 @@ def test_search_matches_the_reference_on_census_closures(census):
                 _check_against_reference(copy_closures(g, f), g.n)
 
 
+def test_witness_does_not_depend_on_closure_order(census):
+    # only the packing bounds read the order of the closures, and they prune
+    # only subtrees that cannot beat the incumbent: shuffled closures give
+    # the size and witness of the mask-sorted ones
+    rng = random.Random(97)
+    graphs = [g for n in range(1, 8) for g in census[n]]
+    graphs += [random_connected_graph(rng, rng.randrange(8, 24)) for _ in range(60)]
+    for spec in ("k1", "k2", "p3", "diamond", "k:3", "star:2"):
+        f = parse_family(spec)
+        for g in graphs:
+            closures = sorted(copy_closures(g, f))
+            expected = _solve_hitting(closures, g.n, 0)[:2]
+            for _ in range(3):
+                rng.shuffle(closures)
+                assert _solve_hitting(closures, g.n, 0)[:2] == expected, \
+                    (spec, encode_g6(g))
+
+
 def test_dense_n44_solve_is_settled_at_the_root():
     # the greedy over all 1,817 distinct closures meets the root bound, so
     # no search runs
@@ -615,18 +623,17 @@ def test_small_family_is_settled_at_the_root():
     assert reference_hitting(sets, 10)[0] == 3
 
 
-def test_every_search_gets_distinct_masks_in_increasing_order(census,
-                                                            monkeypatch):
+def test_every_search_gets_distinct_nonempty_masks(census, monkeypatch):
     # _solve_hitting leaves the dedupe to its callers: every family, and
     # every any-cycle round after a cycle closure is inserted, must come in
-    # as nonempty masks, strictly increasing
+    # as distinct nonempty masks, in any order
     import isolation.solver
 
     rounds = []
     search = isolation.solver._solve_hitting
 
     def checked(sets, n, lower, dominate=False):
-        assert all(sets) and all(a < b for a, b in zip(sets, sets[1:]))
+        assert all(sets) and len(set(sets)) == len(sets)
         rounds.append(len(sets))
         return search(sets, n, lower, dominate)
 

@@ -25,11 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import compress
 
 from .graph_core import (
     Graph,
     _closure,
     _components_within,
+    _select,
     bits,
     canonical_form,
     encode_g6,
@@ -139,19 +141,19 @@ def _pivot_candidates(g: Graph, keep: int):
     vertex of ``keep`` by distance from the anchor, least first within a
     distance.  Degrees and distances are taken within ``keep``."""
     adj = g.adj
-    degs = {v: (adj[v] & keep).bit_count() for v in bits(keep)}
-    delta = max(degs.values())
-    anchor = -1
+    pick = _select(keep)
+    degs = list(map(int.bit_count, map(keep.__and__, compress(adj, pick))))
+    delta = max(degs)
+    verts = list(compress(range(g.n), pick))
+    anchor = verts[degs.index(delta)]
     if delta == 3:
-        for v, d in degs.items():
+        for v, d in zip(verts, degs):
             if d != 3:
                 continue
             near = adj[v] & keep
             if sum((adj[u] & near).bit_count() for u in bits(near)) // 2 == 2:
                 anchor = v
                 break
-    if anchor < 0:
-        anchor = next(v for v, d in degs.items() if d == delta)
 
     yield anchor, "anchor"
     for u in bits(adj[anchor] & keep):

@@ -8,13 +8,13 @@ graph on n-1 vertices (delete a non-cut vertex) plus a new vertex x joined to
 a nonempty attachment set.  The canonical deletion is the non-cut vertex
 that comes last in an order that reads no labels: by degree, then by the
 sorted degrees of its neighbors, then by its cell in the equitable
-refinement of the unit partition (``graph_core._refine``, the root step of
-the canonical search).  A parent is augmented with one attachment set per
-orbit of its automorphism group, and a child is kept only if x is the
-canonical deletion: at once when x alone comes last, through a per-level set
-of canonical forms when it shares the last cell with others.  Each class is
-then reached from exactly one parent and one orbit, so no global set of seen
-graphs is kept.
+refinement of the unit partition (``graph_core._refine_degrees``, the root
+step of the canonical search, which starts from the degree classes).  A
+parent is augmented with one attachment set per orbit of its automorphism
+group, and a child is kept only if x is the canonical deletion: at once when
+x alone comes last, through a per-level set of canonical forms when it
+shares the last cell with others.  Each class is then reached from exactly
+one parent and one orbit, so no global set of seen graphs is kept.
 
 A degree bound skips about half of the attachment sets before any orbit or
 deletion work.  Let D be the largest degree of a parent vertex whose
@@ -32,15 +32,15 @@ import random
 from math import gcd
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 
 from .graph_core import (
     MAX_VERTICES,
     Graph,
     _components_within,
-    _refine,
+    _refine_degrees,
+    _select,
     automorphisms,
-    bits,
     canonical_form,
     decode_g6,
     encode_g6,
@@ -160,25 +160,26 @@ def _is_canonical_deletion(rows: list[int], rivals: list[int],
     """Whether x, the last vertex of a child (adjacency ``rows``), comes
     after each of ``rivals``, the other non-cut vertices of its degree, or
     ties and has a canonical form new to ``tie_keys``.  The first key is the
-    sorted degrees of a vertex's neighbors; the second is the index of its
-    cell in ``_refine`` of the unit partition, whose cell order reads no
-    labels: x must lie in the last cell that meets x or a rival tied with it
-    on the first key.  The first key settles most children before any
+    sorted degrees of a vertex's neighbors, read from one degree list; the
+    second is the index of its cell in the refinement of the unit partition
+    (``_refine_degrees``, from the degree classes), whose cell order reads
+    no labels: x must lie in the last cell that meets x or a rival tied with
+    it on the first key.  The first key settles most children before any
     refinement: without it every child with a rival is refined, and the
     order-9 stream took about 40% longer."""
     x = len(rows) - 1
-    mine = sorted([rows[u].bit_count() for u in bits(rows[x])])
+    degrees = [row.bit_count() for row in rows]
+    mine = sorted(compress(degrees, _select(rows[x])))
     tied = 0
     for v in rivals:
-        theirs = sorted([rows[u].bit_count() for u in bits(rows[v])])
+        theirs = sorted(compress(degrees, _select(rows[v])))
         if theirs > mine:
             return False
         if theirs == mine:
             tied |= 1 << v
     if not tied:
         return True
-    full = (1 << len(rows)) - 1
-    last = next(c for c in reversed(_refine(rows, [full], [full]))
+    last = next(c for c in reversed(_refine_degrees(rows, degrees))
                 if c & (tied | 1 << x))
     if not last >> x & 1:
         return False
@@ -204,7 +205,7 @@ def enumerate_connected(n: int):
     from the parent left by deleting its canonical non-cut vertex, through
     one attachment set per parent automorphism orbit.  Orders up to 8 are
     cached after the first call; ``n = 9`` streams its 261,080 classes in
-    about 11 s on 2 vCPUs once order 8 is cached.
+    about 8 s on 2 vCPUs once order 8 is cached.
     """
     if not 1 <= n <= MAX_BUILTIN_ORDER:
         raise ValueError(f"built-in enumeration covers 1..{MAX_BUILTIN_ORDER}")

@@ -40,6 +40,16 @@ def bits(mask: int):
         mask ^= low
 
 
+# bin(m) reversed and mapped b"0"/b"1" -> 0/1 bytes: byte i is bit i of m
+_SELECT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _select(m: int) -> bytes:
+    """Selector of the nonnegative mask ``m``: ``compress(seq, _select(m))``
+    yields ``seq[i]`` for each set bit i of m in increasing order, chosen in C."""
+    return bin(m).encode()[:1:-1].translate(_SELECT)
+
+
 def mask_of(vertices) -> int:
     """Bit mask with exactly the given vertex indices set."""
     m = 0
@@ -308,33 +318,52 @@ def parse_graph6_lines(lines):
 # cells (bit masks), refined until equitable; its children individualize
 # each vertex of its first non-singleton cell.  A discrete partition is a
 # leaf, labeling the vertex of cell i as i.  No step reads vertex labels.
+# Most splitters in the search are one individualized vertex, whose row
+# splits each cell in one pass; the root starts from the degree classes,
+# the split the whole vertex set makes of itself (``_refine_degrees``).
 
 
 def _refine(adj, cells: list[int], queue: list[int]) -> list[int]:
     """Equitable refinement of ``cells``, equitable already for every
     splitter not in ``queue``.  A splitter splits each cell by the neighbor
     counts of its vertices in it, in count order (``planes[i]`` masks the
-    counts with bit ``i`` set).  All fragments but the first largest join
-    the queue (Hopcroft): their cell was a splitter already, or still is."""
+    counts with bit ``i`` set); a one-vertex splitter has the single plane
+    of its row, so a cell ``c`` splits into ``c & ~row`` and ``c & row``.
+    All fragments but the first largest join the queue (Hopcroft): their
+    cell was a splitter already, or still is."""
     size = sum(map(int.bit_count, cells))
     while queue and len(cells) < size:
         w = queue.pop()
+        out = []
+        if not w & (w - 1):  # one vertex: its row is the one plane
+            row = adj[w.bit_length() - 1]
+            for c in cells:
+                a = c & row
+                if a and a != c:
+                    b = c ^ a
+                    out += b, a
+                    queue.append(a if b.bit_count() >= a.bit_count() else b)
+                else:
+                    out.append(c)
+            cells = out
+            continue
         planes: list[int] = []
+        touched = 0  # only a cell meeting N(w) can split
         for u in bits(w):
             carry, i = adj[u], 0
+            touched |= carry
             while carry:
                 if i == len(planes):
                     planes.append(0)
                 planes[i], carry = planes[i] ^ carry, planes[i] & carry
                 i += 1
-        touched = _closure(adj, w)  # only a cell meeting N(w) can split
-        out = []
+        planes.reverse()  # the high bit first: count order
         for c in cells:
             if not c & touched or not c & (c - 1):
                 out.append(c)
                 continue
             parts = [c]
-            for plane in reversed(planes):  # the high bit first: count order
+            for plane in planes:
                 parts = [q for p in parts for q in (p & ~plane, p & plane) if q]
             out += parts
             if len(parts) > 1:
@@ -342,6 +371,17 @@ def _refine(adj, cells: list[int], queue: list[int]) -> list[int]:
                 queue += [p for p in parts if p != big]
         cells = out
     return cells
+
+
+def _refine_degrees(adj, degrees: list[int]) -> list[int]:
+    """``_refine(adj, [full], [full])`` from its first split: the degree
+    classes in increasing degree, all but the first largest queued."""
+    classes = [0] * len(degrees)  # a degree is below the order
+    for v, d in enumerate(degrees):
+        classes[d] |= 1 << v
+    cells = [c for c in classes if c]
+    big = max(cells, key=int.bit_count, default=0)
+    return _refine(adj, cells, [c for c in cells if c != big])
 
 
 def _leaf_cols(adj, perm) -> list[int]:
@@ -365,11 +405,15 @@ def _automorphism_between(adj, p, q):
         if a != b:
             gamma[a] = b
             moves |= 1 << a
-    for v in bits(_closure(adj, moves)):  # the rows that hold or meet a moved vertex
+    rows = _closure(adj, moves)  # the rows that hold or meet a moved vertex
+    while rows:
+        v = (rows & -rows).bit_length() - 1
+        rows &= rows - 1
         moved = adj[v] & moves
         image = adj[v] ^ moved
-        for u in bits(moved):
-            image |= 1 << gamma[u]
+        while moved:
+            image |= 1 << gamma[(moved & -moved).bit_length() - 1]
+            moved &= moved - 1
         if image != adj[gamma[v]]:
             return None, 0
     return tuple(gamma), moves
@@ -391,7 +435,7 @@ def _canonical_search(n: int, adj):
     # its individualized vertices, the target's vertices not yet tried, the
     # child now searched, and the pruning mask with the count of `found` it covers
     stack: list[list] = []
-    cells, t, prefix = (_refine(adj, [full], [full]) if n else []), 0, 0
+    cells, t, prefix = _refine_degrees(adj, [row.bit_count() for row in adj]), 0, 0
     while True:
         for t in range(t, len(cells)):  # cells[:t] are singletons, which never split
             target = cells[t]
@@ -426,7 +470,9 @@ def _canonical_search(n: int, adj):
             node = stack[-1]
             cells, t, prefix, untried, _, checked, allowed = node
             target = cells[t]
-            for w in bits(untried):
+            while untried:
+                w = (untried & -untried).bit_length() - 1
+                untried ^= 1 << w
                 if target & ((1 << w) - 1):  # the least vertex is never skipped
                     if checked != len(found):
                         checked, allowed = len(found), full
@@ -439,7 +485,7 @@ def _canonical_search(n: int, adj):
             else:
                 stack.pop()
                 continue
-            node[3:] = untried >> (w + 1) << (w + 1), w, checked, allowed
+            node[3:] = untried, w, checked, allowed
             bit = 1 << w
             cells = cells[:t] + _refine(adj, [bit, target ^ bit] + cells[t + 1:], [bit])
             t, prefix = t + 1, prefix | bit

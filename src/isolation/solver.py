@@ -62,6 +62,7 @@ from itertools import compress
 from .graph_core import (
     Graph,
     _closure,
+    _select,
     bits,
     components,
     closed_neighborhood,
@@ -75,16 +76,6 @@ from .patterns import (
     enumerate_copies,
     shortest_cycle,
 )
-
-# bin(m) reversed and mapped b"0"/b"1" -> 0/1 bytes: byte i is bit i of m
-_SELECT = bytes.maketrans(b"01", b"\0\1")
-
-
-def _select(m: int) -> bytes:
-    """Selector of the nonnegative mask ``m``: ``compress(seq, _select(m))``
-    yields ``seq[i]`` for each set bit i of m in increasing order, chosen in C."""
-    return bin(m).encode()[:1:-1].translate(_SELECT)
-
 
 def _meet(sets: list[int], mask: int, within: int) -> int:
     """``within`` AND ``sets[i]`` for each set bit i of ``mask``: the part of

@@ -1,4 +1,5 @@
-"""Pinned digests of the exact solves over the connected census.
+"""Pinned digests of the exact solves over the connected census, and of the
+n/5 construction.
 
 Each class up to the given order is solved in its canonical labeling, order
 by order in key order, so the census's choice of representatives does not
@@ -6,18 +7,25 @@ enter a digest; one graph with isolated vertices follows them.  Two SHA-256
 digests are kept per order, family by family: one of the outputs (value,
 witness and ``copies_found``), which a change to the copy or closure layer
 must leave alone, and one of ``nodes_explored``, which moves whenever the
-searched tree does.
+searched tree does.  A third digest holds the sets and traces of
+``isolating_set_n5`` over the fallback corpus and 2,000 seeded random
+connected graphs of order 10 to 60, so a change to the candidate order, the
+exceptional-graph test or the canonical forms it reads shows there.
 
 Stdlib only, so it runs on an interpreter without pytest:
 
     PYTHONPATH=src python tests/digest.py
 
-recomputes the n <= 7 digests, prints them, and exits 1 on a mismatch.
+recomputes the n <= 7 digests and the construction digest, prints them, and
+exits 1 on a mismatch.
 The test suite checks the same pins (and n <= 8 in its extended job).
 """
 
 import hashlib
+import json
+import random
 import sys
+from pathlib import Path
 
 from isolation import (
     book_graph,
@@ -27,8 +35,10 @@ from isolation import (
     decode_g6,
     enumerate_connected,
     iota_exact,
+    isolating_set_n5,
     parse_family,
     path_graph,
+    random_connected_graph,
 )
 from oracles import disjoint_union
 
@@ -42,6 +52,9 @@ PINNED_NODES = {
     7: "8184f0bd55cc55f832113d8b25739def13bfac88df252d44db6cf5d9ec1ad228",
     8: "30fda4da77bbceb5343bbff5b1028588474122f849293962f7b6793bbd5128ce",
 }
+
+PINNED_CONSTRUCTION = "89cf7d3576584c56a5e4780697cfe99519b0d172a88dc2a513d6bd84daf7472e"
+FALLBACK_CUT = Path(__file__).with_name("data") / "fallback_cut.g6"
 
 
 def pinned_graphs(levels):
@@ -69,14 +82,36 @@ def solve_digests(graphs):
     return outputs.hexdigest(), nodes.hexdigest()
 
 
+def construction_graphs():
+    """The graphs of the fallback corpus, then 2,000 random connected graphs
+    of order 10 to 60 with extra-edge probability 0.03 to 0.25, seed 0."""
+    graphs = [decode_g6(line) for line in FALLBACK_CUT.read_text().split()]
+    rng = random.Random(0)
+    for _ in range(2000):
+        n = rng.randint(10, 60)
+        graphs.append(random_connected_graph(rng, n, rng.uniform(0.03, 0.25)))
+    return graphs
+
+
+def construction_digest(graphs):
+    """Digest of the set and the trace ``isolating_set_n5`` gives each graph."""
+    h = hashlib.sha256()
+    for g in graphs:
+        s, trace = isolating_set_n5(g)
+        h.update(json.dumps([s, trace.to_dict()]).encode() + b"\n")
+    return h.hexdigest()
+
+
 def main():
     top = 7
     got = solve_digests(pinned_graphs(enumerate_connected(n)
                                       for n in range(1, top + 1)))
-    want = PINNED_OUTPUTS[top], PINNED_NODES[top]
-    for name, digest, pin in zip(("outputs", "nodes"), got, want):
+    got += (construction_digest(construction_graphs()),)
+    want = PINNED_OUTPUTS[top], PINNED_NODES[top], PINNED_CONSTRUCTION
+    names = f"outputs[{top}]", f"nodes[{top}]", "construction"
+    for name, digest, pin in zip(names, got, want):
         verdict = "ok" if digest == pin else f"MISMATCH, pinned {pin}"
-        print(f"{name}[{top}] {digest} {verdict}")
+        print(f"{name} {digest} {verdict}")
     return 0 if got == want else 1
 
 

@@ -18,6 +18,9 @@ closed-neighborhood routine.
 ``decode_g6_reference`` is the plain graph6 reader: one step per
 upper-triangle bit, with the same checks, messages and offsets as the
 library's column-wise ``decode_g6``.
+``is_equitable`` checks a list of cells by plain neighbor counts: the cells
+partition the vertices, and two vertices of one cell have as many neighbors
+as each other in every cell.
 None of them touches the hitting-set solver, the census augmentation, or the
 canonical-form search.
 ``networkx_graph`` hands a graph to networkx, an optional oracle that tests
@@ -368,6 +371,22 @@ def decode_g6_reference(text):
             if row == col:
                 row, col = 0, col + 1
     return tuple(rows)
+
+
+def is_equitable(adj, cells):
+    """Whether ``cells`` (vertex masks) partition ``0..len(adj)-1`` and
+    every two vertices of a cell have the same number of neighbors in each
+    cell, counted one pair at a time."""
+    n = len(adj)
+    members = [[v for v in range(n) if c >> v & 1] for c in cells]
+    if sorted(v for m in members for v in m) != list(range(n)):
+        return False
+    for m in members:
+        for other in members:
+            counts = {sum(adj[v] >> u & 1 for u in other) for v in m}
+            if len(counts) > 1:
+                return False
+    return True
 
 
 def networkx_graph(g):

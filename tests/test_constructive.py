@@ -2,7 +2,6 @@ import hashlib
 import io
 import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -36,6 +35,12 @@ from isolation import (
 )
 from isolation.cli import main
 from isolation.constructive import _exceptional_kind, _pivot_candidates
+from digest import (
+    FALLBACK_CUT,
+    PINNED_CONSTRUCTION,
+    construction_digest,
+    construction_graphs,
+)
 from oracles import disjoint_union, networkx_graph
 
 
@@ -369,6 +374,46 @@ def test_candidates_on_a_residual_mask_stay_inside_it():
                              for v, rule in _pivot_candidates(sub, sub.full_mask)]
 
 
+def expected_anchor(g, keep):
+    """The least vertex of maximum degree in ``keep``, or at maximum degree
+    3 the least degree-3 vertex whose neighborhood in ``keep`` holds exactly
+    two edges, if there is one; degrees are taken within ``keep``."""
+    verts = [v for v in range(g.n) if keep >> v & 1]
+    deg = {v: sum(1 for u in verts if g.adj[v] >> u & 1) for v in verts}
+    top = max(deg.values())
+    if top == 3:
+        for v in verts:
+            near = [u for u in verts if g.adj[v] >> u & 1]
+            edges = sum(1 for i, u in enumerate(near) for w in near[i + 1:]
+                        if g.adj[u] >> w & 1)
+            if deg[v] == 3 and edges == 2:
+                return v
+    return next(v for v in verts if deg[v] == top)
+
+
+def test_anchor_is_the_least_vertex_of_maximum_degree():
+    # on the whole graph and on each component left by one closed
+    # neighborhood; the relabeled gadget chains, whose degree-3 vertices
+    # are not all diamond vertices, reach the cubic rule
+    rng = random.Random(507)
+    graphs = [random_connected_graph(rng, rng.randint(10, 60), rng.uniform(0.0, 0.3))
+              for _ in range(200)]
+    graphs += [shuffled(rng, gadget_chain(k)) for k in range(2, 13) for _ in range(5)]
+    for g in graphs:
+        rest = g.full_mask & ~closed_neighborhood(g, 1 << rng.randrange(g.n))
+        rest_graph, rest_old = induced_subgraph(g, rest)
+        keeps = [g.full_mask] + [mask_of(rest_old[v] for v in bits(comp))
+                                 for comp in components(rest_graph)]
+        for keep in keeps:
+            assert next(_pivot_candidates(g, keep)) == (expected_anchor(g, keep), "anchor")
+
+
+def test_construction_is_pinned():
+    # the pin and how it is taken live in tests/digest.py, which also runs
+    # without pytest
+    assert construction_digest(construction_graphs()) == PINNED_CONSTRUCTION
+
+
 def test_fallback_pivot_is_needed():
     # the anchor and all its neighbors fail the budget on this graph; only a
     # fallback candidate certifies 2 = floor(14/5)
@@ -377,14 +422,14 @@ def test_fallback_pivot_is_needed():
     assert any(step.case == "cut:fallback" for step in trace.steps)
 
 
-# Every graph whose construction takes a cut:fallback step among 3,000
-# perfbench/workloads.py block_composition(rng, (2, 10)) draws followed by 500
+# FALLBACK_CUT (tests/data/fallback_cut.g6) holds every graph whose
+# construction takes a cut:fallback step among 3,000 perfbench/workloads.py
+# block_composition(rng, (2, 10)) draws followed by 500
 # random_connected_graph(rng, n, p) draws (n from 10, 12, 14, 16, 18, 20, 24;
 # p uniform in [0.05, 0.25]) for each rng = Random(seed), seed 0..299, in the
 # order found; all 209 are block compositions.  The digest pins the set and
 # the trace of each: a change to the candidate order that alters either
 # changes it.
-FALLBACK_CUT = Path(__file__).with_name("data") / "fallback_cut.g6"
 FALLBACK_CUT_DIGEST = "83177c65d278dafefe83a003a7710896528050090f5b38b0b583fb1b0ddf754a"
 
 

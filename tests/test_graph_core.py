@@ -31,13 +31,14 @@ from isolation import (
     y_graph,
     DIAMOND,
 )
-from isolation.graph_core import _canonical_search
+from isolation.graph_core import _canonical_search, _refine, _refine_degrees
 from isolation.patterns import _connectivity_is_4
 from oracles import (
     count_automorphisms,
     decode_g6_reference,
     disjoint_union,
     group_order,
+    is_equitable,
     networkx_graph,
 )
 
@@ -515,6 +516,43 @@ def test_canonical_search_is_not_bounded_by_the_recursion_limit():
             assert canonical_form(g) == encode_g6(g).encode("ascii")
     finally:
         sys.setrecursionlimit(limit)
+
+
+# --- refinement ----------------------------------------------------------------
+
+def refinement_graphs(census):
+    """Every graph of the n <= 7 census, then 200 random graphs of order 0
+    to 40, disconnected and edgeless ones among them."""
+    graphs = [g for n in range(1, 8) for g in census[n]]
+    rng = random.Random(48)
+    for _ in range(200):
+        graphs.append(random_graph(rng, rng.randrange(0, 41), rng.uniform(0.0, 0.5)))
+    return graphs
+
+
+def test_degree_seeded_root_is_the_unit_refinement(census):
+    # the root starts from the split the whole vertex set makes of itself
+    for g in refinement_graphs(census):
+        full = g.full_mask
+        unit = _refine(g.adj, [full], [full]) if g.n else []
+        assert _refine_degrees(g.adj, [g.degree(v) for v in range(g.n)]) == unit, \
+            encode_g6(g)
+
+
+def test_refinements_are_equitable(census):
+    # the root, and the root's children: each vertex of its first
+    # non-singleton cell individualized before the rest, as the search does
+    for g in refinement_graphs(census):
+        root = _refine_degrees(g.adj, [g.degree(v) for v in range(g.n)])
+        assert is_equitable(g.adj, root), encode_g6(g)
+        for i, cell in enumerate(root):
+            if cell & (cell - 1):
+                for v in bits(cell):
+                    bit = 1 << v
+                    cells = root[:i] + [bit, cell ^ bit] + root[i + 1:]
+                    assert is_equitable(g.adj, _refine(g.adj, cells, [bit])), \
+                        (encode_g6(g), v)
+                break
 
 
 # --- automorphisms -----------------------------------------------------------

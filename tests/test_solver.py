@@ -35,10 +35,10 @@ from isolation import (
     random_connected_graph,
     y_graph,
 )
+from isolation.graph_core import _select
 from isolation.solver import (
     _greedy_hitting,
     _meet,
-    _select,
     _solve_hitting,
     _transpose,
     _triangle_closures,
@@ -293,11 +293,18 @@ def test_deletion_inequality_exhaustive(census):
                 assert whole <= 1 + iota_exact(residual, DIAMOND).value
 
 
-def test_isolation_numbers_follow_the_containment_chain(census):
+@pytest.mark.parametrize("top", [
+    7,
+    pytest.param(8, marks=pytest.mark.skipif(
+        not os.environ.get("ISOLATION_EXTENDED"),
+        reason="the order-8 chain takes about 2 s; "
+               "set ISOLATION_EXTENDED=1 to run")),
+])
+def test_isolation_numbers_follow_the_containment_chain(census, top):
     # if H is a subgraph of H', every H-isolating set is H'-isolating, so
     # iota(G, H') <= iota(G, H); K3 is one of the cycles
     chain = [parse_family(spec) for spec in ("k1", "k2", "p3", "k:3", "diamond", "k:4")]
-    for n in range(1, 8):
+    for n in range(1, top + 1):
         for g in census[n]:
             values = [iota_exact(g, f).value for f in chain]
             assert values == sorted(values, reverse=True), encode_g6(g)

@@ -2,10 +2,8 @@
 sets, and exhaustive verification of the classical isolation bounds."""
 
 from .graph_core import (
-    ATTACH_KINDS,
     Graph,
     Graph6Error,
-    attach_gadget,
     automorphisms,
     bits,
     canonical_form,
@@ -25,7 +23,6 @@ from .patterns import (
     P3,
     PatternFamily,
     UnsupportedFamilyError,
-    YPropertyReport,
     book,
     book_graph,
     circulant_graph,
@@ -42,7 +39,6 @@ from .patterns import (
     parse_family,
     path_graph,
     star,
-    verify_y_properties,
     y_graph,
 )
 from .solver import (
@@ -63,11 +59,9 @@ from .constructive import (
     isolating_set_n5,
 )
 from .enumerate_verify import (
-    AttachReport,
     BoundReport,
     BoundSpec,
     Finding,
-    attachment_invariance_suite,
     default_known_exceptions,
     enumerate_connected,
     random_connected_graph,

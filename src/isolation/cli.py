@@ -1,5 +1,5 @@
 """Command-line front door: solve, certify, construct, enumerate, bound
-sweeps, n/5 construction with optional trace, and the property suites.
+sweeps, and n/5 construction with optional trace.
 
 Exit codes: 0 all checks pass, 1 exceptions or violations found, 2 usage or
 parse errors.  Machine output is JSON lines by default.
@@ -8,7 +8,6 @@ parse errors.  Machine output is JSON lines by default.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -24,7 +23,6 @@ from .constructive import (
 from .enumerate_verify import (
     MAX_BUILTIN_ORDER,
     BoundSpec,
-    attachment_invariance_suite,
     default_known_exceptions,
     enumerate_connected,
     verify_bound,
@@ -39,13 +37,7 @@ from .graph_core import (
     mask_of,
     parse_graph6_lines,
 )
-from .patterns import (
-    DIAMOND,
-    make_named,
-    parse_family,
-    verify_y_properties,
-    y_graph,
-)
+from .patterns import make_named, parse_family
 from .solver import iota_exact, is_isolating
 
 class _UsageError(ValueError):
@@ -234,45 +226,14 @@ def _cmd_n5(args) -> int:
     return 1 if violations else 0
 
 
-def _cmd_attach_check(args) -> int:
-    try:
-        report = attachment_invariance_suite(samples=args.samples,
-                                             max_n=args.max_n, seed=args.seed)
-    except ValueError as exc:
-        raise _UsageError(f"lemma5-check: {exc}") from None
-    for v in report.violations:
-        _emit({"g6": v.g6, "vertex": v.vertex, "kind": v.kind,
-               "before": v.before, "after": v.after,
-               "status": "violation"}, args.format)
-    _emit({"summary": True, "samples": report.samples,
-           "by_kind": report.by_kind,
-           "violations": len(report.violations),
-           "passed": report.passed}, args.format)
-    return 0 if report.passed else 1
-
-
-def _cmd_y_check(args) -> int:
-    y = y_graph()
-    value = iota_exact(y, DIAMOND).value
-    checks = {
-        **dataclasses.asdict(verify_y_properties(y)),
-        "isolation_number_is_2": value == 2,
-        "violates_fifth_bound": value > budget(y.n),
-    }
-    _emit({"g6": encode_g6(y), "n": y.n, "iota": value, **checks,
-           "passed": all(checks.values())}, args.format)
-    return 0 if all(checks.values()) else 1
-
-
 # --- parser -----------------------------------------------------------------
 
 
-def _add_common(sub, with_input=True, with_family=False):
+def _add_common(sub, with_family=False):
     sub.add_argument("--format", choices=("json-lines", "table"),
                      default="json-lines", help="output format")
-    if with_input:
-        sub.add_argument("--input", default="-", metavar="PATH",
-                         help="graph6 file, or - for stdin (default)")
+    sub.add_argument("--input", default="-", metavar="PATH",
+                     help="graph6 file, or - for stdin (default)")
     if with_family:
         sub.add_argument("--family", default="diamond",
                          help="pattern family: k1 k2 p3 diamond anycycle "
@@ -336,21 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("trace", help="n5 plus the full construction trace")
     _add_common(sp)
     sp.set_defaults(func=_cmd_n5, with_trace=True)
-
-    sp = subs.add_parser("lemma5-check",
-                         help="verify that pendant/triangle/bridged-triangle "
-                              "attachments preserve the diamond isolation number")
-    _add_common(sp, with_input=False)
-    sp.add_argument("--samples", type=int, default=500)
-    sp.add_argument("--max-n", type=int, default=12, dest="max_n")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=_cmd_attach_check)
-
-    sp = subs.add_parser("y-check",
-                         help="verify the structural gates of the exceptional "
-                              "9-vertex graph Y")
-    _add_common(sp, with_input=False)
-    sp.set_defaults(func=_cmd_y_check)
 
     return parser
 

@@ -1,5 +1,5 @@
 """Census enumeration of small connected graphs, bound sweeps over graph
-populations, extremal search, and the attachment-invariance property suite.
+populations, and extremal search.
 
 Enumeration generates one representative per isomorphism class by canonical
 augmentation (B. D. McKay, Isomorph-free exhaustive generation, J.
@@ -46,8 +46,6 @@ from .graph_core import (
     encode_g6,
     is_connected,
     mask_of,
-    ATTACH_KINDS,
-    attach_gadget,
 )
 from .patterns import (
     ANY_CYCLE,
@@ -431,50 +429,3 @@ def random_connected_graph(rng: random.Random, n: int,
             if rng.random() < extra_edge_prob:
                 edges.add((u, v))
     return Graph.from_edges(n, sorted(edges))
-
-
-@dataclass(frozen=True)
-class AttachViolation:
-    g6: str
-    vertex: int
-    kind: str
-    before: int
-    after: int
-
-
-@dataclass
-class AttachReport:
-    samples: int
-    by_kind: dict[str, int]
-    violations: list[AttachViolation]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def attachment_invariance_suite(samples: int = 500, max_n: int = 12,
-                                seed: int = 0) -> AttachReport:
-    """Check on random (graph, vertex, kind) triples that attaching a pendant
-    edge, a triangle, or a bridged triangle never changes the exact diamond
-    isolation number."""
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
-    if max_n < 3:
-        raise ValueError(f"max_n must be at least 3, got {max_n}")
-    if max_n > MAX_VERTICES - 3:  # a gadget adds up to 3 vertices
-        raise ValueError(f"max_n must be at most {MAX_VERTICES - 3}, got {max_n}")
-    rng = random.Random(seed)
-    by_kind = {kind: 0 for kind in ATTACH_KINDS}
-    violations: list[AttachViolation] = []
-    for i in range(samples):
-        n = rng.randrange(3, max_n + 1)
-        g = random_connected_graph(rng, n)
-        v = rng.randrange(n)
-        kind = ATTACH_KINDS[i % len(ATTACH_KINDS)]
-        by_kind[kind] += 1
-        before = iota_exact(g, DIAMOND).value
-        after = iota_exact(attach_gadget(g, v, kind), DIAMOND).value
-        if before != after:
-            violations.append(AttachViolation(encode_g6(g), v, kind, before, after))
-    return AttachReport(samples, by_kind, violations)

@@ -1,5 +1,5 @@
 """Bitmask graphs: representation, vertex-set algebra, graph6 codec, canonical
-forms, connectivity, and the isolation-preserving attachment transforms.
+forms and connectivity.
 
 Vertices are integers ``0..n-1``.  A vertex set is a plain Python ``int`` used
 as a dense bit vector (bit ``v`` set means vertex ``v`` is in the set), which
@@ -506,30 +506,3 @@ def canonical_form(g: Graph) -> bytes:
     Equal outputs hold exactly for isomorphic graphs.
     """
     return _pack_g6(g.n, _canonical_search(g.n, g.adj)[0]).encode("ascii")
-
-
-# --- attachment transforms ------------------------------------------------
-
-ATTACH_KINDS = ("pendant", "triangle", "k3_bridge")
-
-
-def attach_gadget(g: Graph, v: int, kind: str) -> Graph:
-    """Attach a gadget at vertex ``v``; each kind preserves the diamond
-    isolation number.
-
-    ``pendant``   adds one vertex joined to ``v``;
-    ``triangle``  adds two vertices forming a triangle with ``v``;
-    ``k3_bridge`` adds a separate triangle plus one edge from ``v`` into it.
-    """
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    edges = list(g.edges())
-    n = g.n
-    if kind == "pendant":
-        return Graph.from_edges(n + 1, edges + [(v, n)])
-    if kind == "triangle":
-        return Graph.from_edges(n + 2, edges + [(v, n), (v, n + 1), (n, n + 1)])
-    if kind == "k3_bridge":
-        tri = [(n, n + 1), (n, n + 2), (n + 1, n + 2)]
-        return Graph.from_edges(n + 3, edges + tri + [(v, n)])
-    raise ValueError(f"unknown attachment kind {kind!r}")

@@ -433,56 +433,3 @@ def make_named(name: str) -> Graph:
         return builders[head](rest)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad parameters in graph spec {name!r}: {exc}") from None
-
-
-# --- structural certificate for Y -----------------------------------------
-
-
-@dataclass(frozen=True)
-class YPropertyReport:
-    """Results of the four structural checks that characterize Y."""
-
-    connectivity_is_4: bool
-    four_regular: bool
-    common_neighbors_at_most_2: bool
-    residual_path_for_every_vertex: bool
-
-
-def residual_path_pivot(g: Graph, u: int) -> int | None:
-    """Least vertex v other than u such that deleting u and N[v] from ``g``
-    leaves exactly a 3-vertex path, or None if there is no such vertex.  The
-    residual is checked in place: three vertices and two edges is exactly P3."""
-    if not 0 <= u < g.n:
-        raise ValueError(f"vertex {u} outside 0..{g.n - 1}")
-    for v in bits(g.full_mask & ~(1 << u)):
-        rest = g.full_mask & ~(1 << u | 1 << v | g.adj[v])
-        if (rest.bit_count() == 3
-                and sum((g.adj[w] & rest).bit_count() for w in bits(rest)) == 4):
-            return v
-    return None
-
-
-def _connectivity_is_4(g: Graph) -> bool:
-    """Whether ``g`` has vertex connectivity exactly 4: no set of at most 3
-    vertices disconnects it, and some set of 4 does, or ``g`` is K5 (K_n has
-    connectivity n - 1).  Only cuts of at most 4 vertices are tried."""
-
-    def cut(k: int) -> bool:
-        return any(len(_components_within(g.adj, g.full_mask & ~mask_of(c))) > 1
-                   for c in combinations(range(g.n), k))
-
-    return g.n >= 5 and not any(map(cut, range(4))) and (g.n == 5 or cut(4))
-
-
-def verify_y_properties(g: Graph) -> YPropertyReport:
-    """Check the four properties of the exceptional graph Y: connectivity 4,
-    4-regularity, every vertex pair sharing at most 2 neighbors, and for each
-    vertex u some v whose closed neighborhood plus u leaves exactly a 3-path.
-    """
-    regular4 = {row.bit_count() for row in g.adj} == {4}
-    common_ok = all(
-        (g.adj[u] & g.adj[v]).bit_count() <= 2
-        for u, v in combinations(range(g.n), 2))
-    residual_ok = g.n > 0 and all(
-        residual_path_pivot(g, u) is not None for u in range(g.n))
-    return YPropertyReport(_connectivity_is_4(g), regular4, common_ok, residual_ok)

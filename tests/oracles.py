@@ -23,6 +23,8 @@ partition the vertices, and two vertices of one cell have as many neighbors
 as each other in every cell.
 None of them touches the hitting-set solver, the census augmentation, or the
 canonical-form search.
+``attach_gadget`` hangs one gadget of the paper's attachment lemma on a
+vertex, through ``Graph.from_edges`` alone.
 ``networkx_graph`` hands a graph to networkx, an optional oracle that tests
 skip when it is missing.
 """
@@ -128,6 +130,25 @@ def disjoint_union(graphs):
         edges.extend((u + offset, v + offset) for u, v in g.edges())
         offset += g.n
     return Graph.from_edges(offset, edges)
+
+
+# each gadget as (new vertices, edges), where 0 is the vertex it hangs on and
+# 1, 2, 3 are the new vertices: a pendant vertex, a triangle through the
+# vertex, and a separate triangle joined to the vertex by one edge
+GADGETS = {
+    "pendant": (1, [(0, 1)]),
+    "triangle": (2, [(0, 1), (0, 2), (1, 2)]),
+    "k3_bridge": (3, [(0, 1), (1, 2), (1, 3), (2, 3)]),
+}
+
+
+def attach_gadget(g, v, kind):
+    """``g`` with the gadget ``kind`` hung on vertex ``v``; the new vertices
+    are numbered from ``g.n``."""
+    added, edges = GADGETS[kind]
+    label = (v, g.n, g.n + 1, g.n + 2)
+    return Graph.from_edges(g.n + added, [*g.edges(),
+                                          *((label[a], label[b]) for a, b in edges)])
 
 
 def count_automorphisms(g):

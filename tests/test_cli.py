@@ -3,6 +3,8 @@ import io
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -12,7 +14,7 @@ import pytest
 
 import isolation
 from isolation import (canonical_form, cycle_graph, decode_g6, diamond_graph,
-                       encode_g6, y_graph)
+                       encode_g6, make_named, y_graph)
 from isolation.cli import main
 
 
@@ -50,14 +52,24 @@ def test_construct_unknown_name_is_usage_error(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["construct", "--name", "complete:20000"],
-    ["lemma5-check", "--max-n", "6000"],
+    ["bound", "--family", "k:5000", "--ratio", "1/2", "--enumerate", "3"],
 ])
 def test_orders_above_the_cap_fail_fast(capsys, argv):
     # the order cap is checked before any row or edge is built
     start = time.perf_counter()
     code, out, err = run(capsys, argv)
     assert code == 2 and out == "" and err.startswith("error: ")
+    assert len(err.splitlines()) == 1
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("command", ["lemma5-check", "y-check"])
+def test_removed_commands_are_usage_errors(capsys, command):
+    # argparse prints its usage lines, then one error line
+    code, out, err = run(capsys, [command])
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert code == 2 and out == ""
+    assert len(errors) == 1 and f"invalid choice: '{command}'" in errors[0]
 
 
 # --- solve / certify ------------------------------------------------------------
@@ -388,32 +400,6 @@ def test_trace_table_format(capsys, monkeypatch):
     assert code == 0 and "diamond-free" in out
 
 
-# --- property suites ------------------------------------------------------------------
-
-def test_attachment_check_command(capsys):
-    code, out, _ = run(capsys, ["lemma5-check", "--samples", "15",
-                                "--max-n", "9", "--seed", "1"])
-    summary = json_lines(out)[-1]
-    assert code == 0 and summary["passed"] is True and summary["samples"] == 15
-
-
-def test_attachment_check_rejects_bad_arguments(capsys):
-    for argv, word in ((["--max-n", "2"], "max_n"), (["--max-n", "-5"], "max_n"),
-                       (["--samples", "-1"], "samples"),
-                       (["--samples", "-3"], "samples")):
-        code, out, err = run(capsys, ["lemma5-check"] + argv)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and word in err
-        assert len(err.splitlines()) == 1 and "Traceback" not in err
-
-
-def test_y_check_command(capsys):
-    code, out, _ = run(capsys, ["y-check"])
-    rec = json_lines(out)[0]
-    assert code == 0 and rec["passed"] is True
-    assert rec["iota"] == 2 and rec["violates_fifth_bound"] is True
-
-
 # --- usage ------------------------------------------------------------------------------
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -482,3 +468,43 @@ def test_bound_output_on_a_seeded_stream_is_pinned(capsys, monkeypatch):
             record.pop("elapsed", None)
             digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == BOUND_SWEEP_DIGEST
+
+
+# --- README --------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """Each line of README's ``sh`` blocks that runs ``isolation``, split at
+    its ``# -> X`` annotation (None when it has none)."""
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.splitlines():
+            command, _, note = line.partition("# -> ")
+            if re.match(r"(echo .*\| *)?isolation ", command):
+                yield pytest.param(command.strip(), note.strip() or None,
+                                   id=re.sub(r"\W+", "-", command).strip("-"))
+
+
+@pytest.mark.parametrize("command,note", readme_commands())
+def test_readme_commands(capsys, monkeypatch, command, note):
+    # a pipeline of echo, isolation and wc -l stages, run in process
+    text = ""
+    for stage in command.split("|"):
+        words = shlex.split(stage)
+        if words[0] == "echo":
+            text = " ".join(words[1:]) + "\n"
+        elif words == ["wc", "-l"]:
+            text = f"{len(text.splitlines())}\n"
+        else:
+            assert words[0] == "isolation", stage
+            code, text, err = run(capsys, words[1:], stdin=text,
+                                  monkeypatch=monkeypatch)
+            assert code == 0, err
+    # an annotation is the output itself, or the name of the graph it encodes
+    if note is not None:
+        try:
+            note = encode_g6(make_named(note))
+        except ValueError:
+            pass
+        assert text.strip() == note

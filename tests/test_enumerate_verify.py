@@ -10,7 +10,6 @@ from isolation import (
     K2,
     BoundSpec,
     Graph,
-    attachment_invariance_suite,
     automorphisms,
     bits,
     canonical_form,
@@ -382,29 +381,6 @@ def test_find_extremal_accepts_external_population():
 
 def test_find_extremal_nondivisible_order_is_empty(census):
     assert verify_bound(census[4], BoundSpec(DIAMOND, 1, 5)).extremal == []
-
-
-# --- attachment invariance -----------------------------------------------------------
-
-def test_attachment_suite_passes_quickly():
-    report = attachment_invariance_suite(samples=60, max_n=10, seed=3)
-    assert report.passed
-    assert report.samples == 60
-    assert all(count == 20 for count in report.by_kind.values())
-
-
-def test_attachment_suite_is_deterministic():
-    a = attachment_invariance_suite(samples=30, max_n=9, seed=7)
-    b = attachment_invariance_suite(samples=30, max_n=9, seed=7)
-    assert a.by_kind == b.by_kind and a.violations == b.violations
-
-
-def test_attachment_suite_rejects_bad_arguments():
-    with pytest.raises(ValueError, match="max_n"):
-        attachment_invariance_suite(samples=5, max_n=2)
-    with pytest.raises(ValueError, match="samples"):
-        attachment_invariance_suite(samples=-1)
-    assert attachment_invariance_suite(samples=0, max_n=3).passed
 
 
 # --- random graph helper ----------------------------------------------------------

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import re
@@ -40,11 +39,10 @@ from isolation import (
     path_graph,
     random_connected_graph,
     star,
-    verify_y_properties,
     y_graph,
 )
 from isolation.graph_core import MAX_VERTICES
-from isolation.patterns import _copies, residual_path_pivot, shortest_cycle
+from isolation.patterns import _copies, shortest_cycle
 from oracles import (
     closures_brute,
     contains_brute,
@@ -377,82 +375,6 @@ def test_make_named_specs():
     for bad in ("widget", "path:zero", "circulant:9", "path"):
         with pytest.raises(ValueError):
             make_named(bad)
-
-
-def test_y_properties_hold_for_y():
-    assert all(dataclasses.astuple(verify_y_properties(y_graph())))
-
-
-def test_y_properties_fail_for_k4_connectivity():
-    rep = verify_y_properties(complete_graph(4))
-    assert not rep.connectivity_is_4
-    assert not all(dataclasses.astuple(rep))
-
-
-def test_y_properties_fail_for_c9_regularity():
-    rep = verify_y_properties(cycle_graph(9))
-    assert not rep.four_regular
-
-
-def copied_pivot(g, u):
-    """The residual-path pivot of u found on relabeled copies: ``g`` is cut
-    down to V - u - N[v] and that residual copy is tested for being a
-    connected 3-vertex, 2-edge graph."""
-    for v in range(g.n):
-        if v == u:
-            continue
-        rest, _ = induced_subgraph(g, g.full_mask & ~(1 << u | 1 << v | g.adj[v]))
-        if rest.n == 3 and rest.edge_count() == 2 and is_connected(rest):
-            return v
-    return None
-
-
-def y_blocks_on_a_core(rng):
-    """One to three shuffled Y blocks, each joined by one edge to a random
-    connected core of 2..5 vertices; returns the graph and the block masks."""
-    core = random_connected_graph(rng, rng.randint(2, 5))
-    edges, n, blocks = list(core.edges()), core.n, []
-    for _ in range(rng.randint(1, 3)):
-        perm = list(range(9))
-        rng.shuffle(perm)
-        edges += [(n + perm[u], n + perm[v]) for u, v in y_graph().edges()]
-        edges.append((rng.randrange(core.n), n + rng.randrange(9)))
-        blocks.append(((1 << 9) - 1) << n)
-        n += 9
-    return Graph.from_edges(n, edges), blocks
-
-
-def check_pivot(g):
-    for u in range(g.n):
-        assert residual_path_pivot(g, u) == copied_pivot(g, u), (encode_g6(g), u)
-
-
-def test_pivot_matches_the_relabeled_copy_on_the_census(census):
-    for n in range(1, 9):
-        for g in census[n]:
-            check_pivot(g)
-
-
-def test_pivot_matches_the_relabeled_copy_on_y_blocks():
-    rng = random.Random(811)
-    found = 0
-    for _ in range(40):
-        g, blocks = y_blocks_on_a_core(rng)
-        for block in blocks:
-            sub, _ = induced_subgraph(g, block)
-            check_pivot(sub)
-            found += all(residual_path_pivot(sub, u) is not None
-                         for u in range(sub.n))
-        check_pivot(g)
-    assert found > 0  # every vertex of a whole Y block has a pivot
-
-
-def test_pivot_refuses_vertices_outside_the_graph():
-    # -1 and n name no vertex of Y
-    y = y_graph()
-    for u in (-1, y.n, y.n + 5):
-        with pytest.raises(ValueError, match=f"vertex {u} outside"):
-            residual_path_pivot(y, u)
 
 
 def test_h15_shape_gates():

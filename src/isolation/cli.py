@@ -44,6 +44,13 @@ class _UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's usage errors as :class:`_UsageError`, one line."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _emit(record: dict, fmt: str) -> None:
     if fmt == "json-lines":
         print(json.dumps(record, sort_keys=True))
@@ -241,7 +248,7 @@ def _add_common(sub, with_family=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isolation",
         description="Exact isolation numbers, certified n/5 diamond-isolating "
                     "sets, and exhaustive bound sweeps over small graphs.")
@@ -302,15 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
+    except SystemExit as exc:  # --help: argparse prints it and exits 0
+        return exc.code
     except BrokenPipeError:
         # the reader stopped early (``| head``): that is not an error; send
         # what is still buffered to devnull so the flush at exit stays quiet

@@ -405,7 +405,7 @@ def default_known_exceptions(family: PatternFamily, numerator: int,
     return ()
 
 
-# --- attachment invariance (property suite) --------------------------------
+# --- random graphs ---------------------------------------------------------
 
 
 def random_connected_graph(rng: random.Random, n: int,

@@ -192,48 +192,30 @@ def is_connected(g: Graph) -> bool:
 #
 # Standard printable encoding: the order n, then the upper-triangle adjacency
 # bits in column order x(0,1), x(0,2), x(1,2), x(0,3), ..., packed into 6-bit
-# groups, each offset by 63.  Column c is the run of c bits x(0,c) .. x(c-1,c)
-# from bit c(c-1)/2 on, so each column is read or written whole.  _G6_BITS
-# maps each data character to its six bits, the high bit first.
+# groups, each offset by 63.  In memory the bits are one '0'/'1' string, the
+# field; column c is its run of c bits x(0,c) .. x(c-1,c) from bit c(c-1)/2
+# on, bits 0 .. c-1 of vertex c's row in increasing order.  _G6_BITS maps
+# each data character to its six bits, the high bit first; _G6_CHARS back.
 _G6_BITS = {63 + i: format(i, "06b") for i in range(64)}
+_G6_CHARS = {six: chr(code) for code, six in _G6_BITS.items()}
 
 
 def encode_g6(g: Graph) -> str:
-    """graph6 text of ``g``, column by column: x(r,c) is bit c-1-r of column
-    c's code, one per set bit r of ``adj[c] & ((1 << c) - 1)``."""
-    adj = g.adj
-    cols = [0] * g.n
-    for c in range(1, g.n):
-        low = adj[c] & ((1 << c) - 1)
-        code = 0
-        while low:
-            top = low & -low
-            code |= 1 << c - top.bit_length()
-            low ^= top
-        cols[c] = code
-    return _pack_g6(g.n, cols)
+    """graph6 text of ``g``; column c is ``adj[c]``'s bits below c, read from
+    its ``bin`` reversed, with bit c set (and dropped) so that no zero is lost."""
+    return _pack_g6(g.n, "".join([bin(row & (1 << c) - 1 | 1 << c)[:2:-1]
+                                  for c, row in enumerate(g.adj)]))
 
 
-def _pack_g6(n: int, cols) -> str:
-    """graph6 text of an ``n``-vertex graph given its column codes: ``cols[i]``
-    holds the bits x(0,i) .. x(i-1,i), x(0,i) highest."""
+def _pack_g6(n: int, field: str) -> str:
+    """graph6 text of an ``n``-vertex graph given its field, zero-padded to
+    whole characters."""
     if n <= 62:
         head = chr(63 + n)
     else:
         head = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
-    out = bytearray()
-    acc = 0
-    nbits = 0
-    for i in range(1, n):
-        acc = acc << i | cols[i]
-        nbits += i
-        while nbits >= 6:
-            nbits -= 6
-            out.append(63 + (acc >> nbits & 63))
-        acc &= (1 << nbits) - 1
-    if nbits:
-        out.append(63 + (acc << (6 - nbits)))
-    return head + out.decode("ascii")
+    field += "0" * (-len(field) % 6)
+    return head + "".join([_G6_CHARS[field[i:i + 6]] for i in range(0, len(field), 6)])
 
 
 def decode_g6(text: str) -> Graph:
@@ -384,16 +366,13 @@ def _refine_degrees(adj, degrees: list[int]) -> list[int]:
     return _refine(adj, cells, [c for c in cells if c != big])
 
 
-def _leaf_cols(adj, perm) -> list[int]:
-    """graph6 column codes of the graph relabeled so that ``perm[i]`` is
-    vertex ``i``: ``cols[i]`` packs x(0,i) .. x(i-1,i), x(0,i) highest."""
-    cols = []
-    for i, v in enumerate(perm):
-        c = 0
-        for u in perm[:i]:
-            c = c << 1 | (adj[u] >> v & 1)
-        cols.append(c)
-    return cols
+def _leaf_field(adj, perm) -> str:
+    """graph6 field of the graph relabeled so that ``perm[i]`` is vertex
+    ``i``: column i is bits ``perm[:i]`` of ``adj[perm[i]]``, each read from
+    that row's ``bin`` reversed (with bit n set, so that it has n bits)."""
+    top = 1 << len(perm)
+    rows = [bin(adj[v] | top)[:2:-1] for v in perm]
+    return "".join([row[u] for i, row in enumerate(rows) for u in perm[:i]])
 
 
 def _automorphism_between(adj, p, q):
@@ -420,7 +399,7 @@ def _automorphism_between(adj, p, q):
 
 
 def _canonical_search(n: int, adj):
-    """Column codes and labeling of the least leaf, and generators of the
+    """graph6 field and labeling of the least leaf, and generators of the
     automorphism group.  A leaf with the relabeled graph of the first or
     the least leaf gives an automorphism, and the search jumps back to where
     the two paths split: the subtree left is an image of one searched.  A
@@ -430,7 +409,7 @@ def _canonical_search(n: int, adj):
     Python's recursion limit."""
     full = (1 << n) - 1
     found: list[tuple] = []  # automorphism, its fixed points, and those plus the least of each cycle
-    first = best = None  # column codes, labeling and path of the first and the least leaf
+    first = best = None  # field, labeling and path of the first and the least leaf
     # one entry per node on the path: its cells, the index of its target cell,
     # its individualized vertices, the target's vertices not yet tried, the
     # child now searched, and the pruning mask with the count of `found` it covers
@@ -447,7 +426,7 @@ def _canonical_search(n: int, adj):
             perm = [c.bit_length() - 1 for c in cells]
             path = [node[4] for node in stack]
             if first is None:
-                first = best = _leaf_cols(adj, perm), perm, path
+                first = best = _leaf_field(adj, perm), perm, path
             else:
                 for ref in (first, best) if best is not first else (first,):
                     gamma, moves = _automorphism_between(adj, ref[1], perm)
@@ -462,9 +441,9 @@ def _canonical_search(n: int, adj):
                         back = next(i for i, v in enumerate(ref[2]) if v != path[i])
                         break
                 else:
-                    cols = _leaf_cols(adj, perm)
-                    if cols < best[0]:
-                        best = cols, perm, path
+                    field = _leaf_field(adj, perm)
+                    if field < best[0]:
+                        best = field, perm, path
             del stack[back + 1:]
         while stack:  # the next child of the deepest node with one left
             node = stack[-1]

@@ -18,11 +18,16 @@ closed-neighborhood routine.
 ``decode_g6_reference`` is the plain graph6 reader: one step per
 upper-triangle bit, with the same checks, messages and offsets as the
 library's column-wise ``decode_g6``.
+``encode_g6_reference`` is the plain graph6 writer: one step per
+upper-triangle bit, with its own order header, after McKay's format
+description (https://users.cecs.anu.edu.au/~bdm/data/formats.txt).
 ``is_equitable`` checks a list of cells by plain neighbor counts: the cells
 partition the vertices, and two vertices of one cell have as many neighbors
 as each other in every cell.
 None of them touches the hitting-set solver, the census augmentation, or the
 canonical-form search.
+``relabeled`` renames the vertices of a graph by a given or a shuffled
+permutation.
 ``attach_gadget`` hangs one gadget of the paper's attachment lemma on a
 vertex, through ``Graph.from_edges`` alone.
 ``networkx_graph`` hands a graph to networkx, an optional oracle that tests
@@ -130,6 +135,15 @@ def disjoint_union(graphs):
         edges.extend((u + offset, v + offset) for u, v in g.edges())
         offset += g.n
     return Graph.from_edges(offset, edges)
+
+
+def relabeled(g, perm=None, rng=None):
+    """``g`` with each vertex v renamed ``perm[v]``; without ``perm``, by a
+    permutation of ``0..n-1`` that ``rng.shuffle`` draws."""
+    if perm is None:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 # each gadget as (new vertices, edges), where 0 is the vertex it hangs on and
@@ -392,6 +406,26 @@ def decode_g6_reference(text):
             if row == col:
                 row, col = 0, col + 1
     return tuple(rows)
+
+
+def encode_g6_reference(g):
+    """graph6 line of ``g``, written bit by bit in the order x(0,1), x(0,2),
+    x(1,2), x(0,3), ..., six bits to a character, the last one filled out
+    with zeros; an order up to 62 is one character, a larger one ``~`` and
+    three characters of six bits each, the high bits first."""
+    n = g.n
+    values = [n] if n <= 62 else [63, n >> 12 & 63, n >> 6 & 63, n & 63]
+    group = width = 0
+    for col in range(1, n):
+        for row in range(col):
+            group = group << 1 | (g.adj[row] >> col & 1)
+            width += 1
+            if width == 6:
+                values.append(group)
+                group = width = 0
+    if width:
+        values.append(group << 6 - width)
+    return "".join(chr(63 + value) for value in values)
 
 
 def is_equitable(adj, cells):

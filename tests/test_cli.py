@@ -65,11 +65,11 @@ def test_orders_above_the_cap_fail_fast(capsys, argv):
 
 @pytest.mark.parametrize("command", ["lemma5-check", "y-check"])
 def test_removed_commands_are_usage_errors(capsys, command):
-    # argparse prints its usage lines, then one error line
+    # argparse's own usage errors print one error line, as every other does
     code, out, err = run(capsys, [command])
-    errors = [line for line in err.splitlines() if "error:" in line]
     assert code == 2 and out == ""
-    assert len(errors) == 1 and f"invalid choice: '{command}'" in errors[0]
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"invalid choice: '{command}'" in err
 
 
 # --- solve / certify ------------------------------------------------------------
@@ -403,11 +403,21 @@ def test_trace_table_format(capsys, monkeypatch):
 # --- usage ------------------------------------------------------------------------------
 
 def test_missing_subcommand_is_usage_error(capsys):
-    assert main([]) == 2
+    code, out, err = run(capsys, [])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_unknown_flag_is_usage_error(capsys):
-    assert main(["solve", "--wat"]) == 2
+    code, out, err = run(capsys, ["solve", "--wat"])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bound", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 0 and out.startswith("usage: isolation") and err == ""
 
 
 def test_missing_input_file(capsys):

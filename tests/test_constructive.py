@@ -41,13 +41,7 @@ from digest import (
     construction_digest,
     construction_graphs,
 )
-from oracles import disjoint_union, networkx_graph
-
-
-def shuffled(rng, g):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+from oracles import disjoint_union, networkx_graph, relabeled
 
 
 # --- structured families that stress the cut machinery ----------------------
@@ -110,7 +104,7 @@ def test_is_exceptional_up_to_isomorphism():
     for g in (diamond_graph(), complete_graph(4), y_graph()):
         assert is_exceptional(g)
         for _ in range(10):
-            assert is_exceptional(shuffled(rng, g))
+            assert is_exceptional(relabeled(g, rng=rng))
     for g in (cycle_graph(5), path_graph(4), book_graph(3), complete_graph(5),
               cycle_graph(9)):
         assert not is_exceptional(g)
@@ -133,7 +127,7 @@ def test_exceptional_kind_matches_networkx(census):
         g = Graph.from_edges(12, [(perm[u], perm[v]) for u, v in edges])
         cases += [(g, mask_of(perm[:9])), (g, g.full_mask)]
     for base in (diamond_graph(), complete_graph(4), y_graph()):
-        cases += [(g, g.full_mask) for g in (shuffled(rng, base) for _ in range(20))]
+        cases += [(g, g.full_mask) for g in (relabeled(base, rng=rng) for _ in range(20))]
     seen = set()
     for g, keep in cases:
         sub = networkx_graph(induced_subgraph(g, keep)[0])
@@ -398,7 +392,7 @@ def test_anchor_is_the_least_vertex_of_maximum_degree():
     rng = random.Random(507)
     graphs = [random_connected_graph(rng, rng.randint(10, 60), rng.uniform(0.0, 0.3))
               for _ in range(200)]
-    graphs += [shuffled(rng, gadget_chain(k)) for k in range(2, 13) for _ in range(5)]
+    graphs += [relabeled(gadget_chain(k), rng=rng) for k in range(2, 13) for _ in range(5)]
     for g in graphs:
         rest = g.full_mask & ~closed_neighborhood(g, 1 << rng.randrange(g.n))
         rest_graph, rest_old = induced_subgraph(g, rest)

@@ -9,7 +9,6 @@ from isolation import (
     DIAMOND,
     K2,
     BoundSpec,
-    Graph,
     automorphisms,
     bits,
     canonical_form,
@@ -30,7 +29,12 @@ from isolation import (
     y_graph,
 )
 from isolation.patterns import K1, P3, book, clique
-from oracles import count_connected_classes, disjoint_union, networkx_graph
+from oracles import (
+    count_connected_classes,
+    disjoint_union,
+    networkx_graph,
+    relabeled,
+)
 
 
 # --- enumeration --------------------------------------------------------------
@@ -156,10 +160,6 @@ def test_level_without_the_degree_bound_yields_the_same_children(monkeypatch):
     assert [list(ev._level([p])) for p in parents] == bounded
 
 
-def _relabeled(g, perm):
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 def _deletions(g):
     """Mask of the vertices w that pass as the census's canonical deletion
     of ``g``: g relabeled with w last and judged as ``_level`` judges a
@@ -176,7 +176,7 @@ def _deletions(g):
         perm = [v - (v > w) for v in range(g.n)]
         perm[w] = g.n - 1
         rivals = [perm[v] for v in noncut if v != w and g.degree(v) == top]
-        if _is_canonical_deletion(list(_relabeled(g, perm).adj), rivals, set()):
+        if _is_canonical_deletion(list(relabeled(g, perm).adj), rivals, set()):
             passing |= 1 << w
     return passing
 
@@ -195,7 +195,7 @@ def test_canonical_deletion_reads_no_labels(census):
                 assert sum(1 << sigma[v] for v in bits(passing)) == passing
             perm = list(range(n))
             rng.shuffle(perm)
-            assert _deletions(_relabeled(g, perm)) == sum(
+            assert _deletions(relabeled(g, perm)) == sum(
                 1 << perm[v] for v in bits(passing))
             assert len({tuple(sorted(g.degree(u) for u in bits(g.adj[w])))
                         for w in bits(passing)}) == 1

@@ -31,26 +31,23 @@ from isolation import (
     DIAMOND,
 )
 from isolation.graph_core import _canonical_search, _refine, _refine_degrees
+from digest import PINNED_CANONICAL, canonical_digest, canonical_graphs
 from oracles import (
     attach_gadget,
     count_automorphisms,
     decode_g6_reference,
     disjoint_union,
+    encode_g6_reference,
     group_order,
     is_equitable,
     networkx_graph,
+    relabeled,
 )
 
 
 def random_graph(rng, n, p=0.4):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
-
-
-def shuffled(rng, g):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 # --- construction invariants -----------------------------------------------
@@ -278,6 +275,15 @@ def test_decode_matches_the_bitwise_reference():
     assert 0.3 < errors / len(corpus) < 0.9  # the corpus reaches both outcomes
 
 
+def test_encode_matches_the_bitwise_reference():
+    # orders 0 to 70, 100, 258 and 1,024: both order forms, and every
+    # padding a graph6 line can end with (n(n-1)/2 is 0, 1, 3 or 4 mod 6)
+    graphs, _ = _g6_corpus(random.Random(66))
+    assert {g.n * (g.n - 1) // 2 % 6 for g in graphs} == {0, 1, 3, 4}
+    for g in graphs:
+        assert encode_g6(g) == encode_g6_reference(g), g.n
+
+
 def test_parse_lines_skips_blanks_and_header():
     from isolation.graph_core import parse_graph6_lines
 
@@ -303,7 +309,14 @@ def test_canonical_invariant_under_relabeling():
         g = random_graph(rng, rng.randrange(1, 9), rng.uniform(0.15, 0.8))
         key = canonical_form(g)
         for _ in range(100):
-            assert canonical_form(shuffled(rng, g)) == key
+            assert canonical_form(relabeled(g, rng=rng)) == key
+
+
+def test_canonical_forms_are_pinned(census):
+    # the pin and how it is taken live in tests/digest.py, which also runs
+    # without pytest
+    graphs = canonical_graphs(census[n] for n in range(1, 8))
+    assert canonical_digest(graphs) == PINNED_CANONICAL
 
 
 def complement(g):
@@ -355,7 +368,7 @@ def test_canonical_invariant_on_composed_symmetric_graphs():
         key = canonical_form(g)
         assert realized_key(g, _canonical_search(g.n, g.adj)[1]) == key
         for _ in range(6):
-            assert canonical_form(shuffled(rng, g)) == key, encode_g6(g)
+            assert canonical_form(relabeled(g, rng=rng)) == key, encode_g6(g)
 
 
 def test_canonical_separates_different_degree_sequences():
@@ -401,7 +414,7 @@ def test_canonical_form_agrees_with_networkx():
         m = rng.randrange(n - 1, n * (n - 1) // 2 - n + 2)
         a = random_graph_with_edges(rng, n, m)
         if rng.random() < 0.5:
-            b = shuffled(rng, a)
+            b = relabeled(a, rng=rng)
         else:
             b = random_graph_with_edges(rng, n, m)
         same = nx.is_isomorphic(networkx_graph(a), networkx_graph(b))
@@ -435,8 +448,7 @@ def realized_key(g, perm):
     at = [0] * g.n
     for i, v in enumerate(perm):
         at[v] = i
-    relabeled = Graph.from_edges(g.n, [(at[u], at[v]) for u, v in g.edges()])
-    return encode_g6(relabeled).encode("ascii")
+    return encode_g6(relabeled(g, at)).encode("ascii")
 
 
 def test_canonical_form_on_symmetric_graphs():
@@ -445,7 +457,7 @@ def test_canonical_form_on_symmetric_graphs():
         key = canonical_form(g)
         assert realized_key(g, _canonical_search(g.n, g.adj)[1]) == key
         for _ in range(10):
-            h = shuffled(rng, g)
+            h = relabeled(g, rng=rng)
             assert canonical_form(h) == key, encode_g6(g)
             assert realized_key(h, _canonical_search(h.n, h.adj)[1]) == key
 
@@ -468,7 +480,7 @@ def test_canonical_search_is_fast_on_large_symmetric_graphs():
     for g in large_symmetric_graphs():
         key = canonical_form(g)
         assert realized_key(g, _canonical_search(g.n, g.adj)[1]) == key
-        assert canonical_form(shuffled(rng, g)) == key
+        assert canonical_form(relabeled(g, rng=rng)) == key
     assert time.perf_counter() - start < 10
 
 

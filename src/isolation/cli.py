@@ -52,7 +52,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(record: dict, fmt: str) -> None:
-    if fmt == "json-lines":
+    if fmt == "g6":
+        print(record["g6"])
+    elif fmt == "json-lines":
         print(json.dumps(record, sort_keys=True))
     else:
         print("  ".join(f"{k}={_short(v)}" for k, v in record.items()))
@@ -144,11 +146,8 @@ def _cmd_construct(args) -> int:
         g = make_named(args.name)
     except ValueError as exc:
         raise _UsageError(f"--name: {exc}") from None
-    if args.format == "g6":
-        print(encode_g6(g))
-    else:
-        _emit({"name": args.name, "g6": encode_g6(g), "n": g.n,
-               "edges": g.edge_count()}, args.format)
+    _emit({"name": args.name, "g6": encode_g6(g), "n": g.n,
+           "edges": g.edge_count()}, args.format)
     return 0
 
 
@@ -156,10 +155,7 @@ def _cmd_enumerate(args) -> int:
     if not 1 <= args.n <= MAX_BUILTIN_ORDER:
         raise _UsageError(f"--n must be between 1 and {MAX_BUILTIN_ORDER}")
     for g in enumerate_connected(args.n):
-        if args.format == "g6":
-            print(encode_g6(g))
-        else:
-            _emit({"g6": encode_g6(g), "n": g.n}, args.format)
+        _emit({"g6": encode_g6(g), "n": g.n}, args.format)
     return 0
 
 

@@ -31,7 +31,7 @@ import os
 import random
 from math import gcd
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cache, partial
 from itertools import combinations, compress, islice
 
 from .graph_core import (
@@ -64,15 +64,10 @@ from .solver import iota_exact, is_isolating
 
 MAX_BUILTIN_ORDER = 9
 _BRUTE_RECHECK_ORDER = 10  # exceptions up to this order re-checked by subsets
-_CACHED_LEVELS = 8  # orders above this are streamed, not cached
 _EXTREMAL_CAP = 100  # extremal findings listed in a report; all are counted
 
-# adjacency rows of each cached order, as bytes: a row of order <= 8 fits in
-# one byte, which takes a third of the memory of a tuple
-_levels: list[list[bytes]] = [[bytes(1)]]
 
-
-@lru_cache(maxsize=None)
+@cache
 def _sized_masks(k: int, bound: int) -> tuple[int, ...]:
     """Masks over ``0..k-1`` of one vertex or of at least ``bound``
     vertices, in increasing order."""
@@ -121,7 +116,7 @@ def _level(parents):
     least D > |A|, so x is never the canonical deletion; those sets are
     skipped before the orbit union, and the rivals loop below decides every
     set that remains."""
-    tie_keys: set[bytes] = set()
+    tie_keys: set[str] = set()
     for parent in parents:
         k = len(parent)
         # v is a cut vertex of a child iff some component of parent - v
@@ -154,7 +149,7 @@ def _level(parents):
 
 
 def _is_canonical_deletion(rows: list[int], rivals: list[int],
-                           tie_keys: set[bytes]) -> bool:
+                           tie_keys: set[str]) -> bool:
     """Whether x, the last vertex of a child (adjacency ``rows``), comes
     after each of ``rivals``, the other non-cut vertices of its degree, or
     ties and has a canonical form new to ``tie_keys``.  The first key is the
@@ -189,9 +184,12 @@ def _is_canonical_deletion(rows: list[int], rivals: list[int],
     return new
 
 
-def _ensure_level(n: int) -> None:
-    while len(_levels) < n:
-        _levels.append([bytes(rows) for rows in _level(_levels[-1])])
+@cache
+def _census_rows(n: int) -> list[bytes]:
+    """Adjacency rows of the order-``n`` census, below ``MAX_BUILTIN_ORDER``,
+    as bytes: a row of order <= 8 fits in one byte, which takes a third of
+    the memory of a tuple."""
+    return [bytes(rows) for rows in _level(_census_rows(n - 1))] if n > 1 else [bytes(1)]
 
 
 def enumerate_connected(n: int):
@@ -207,13 +205,8 @@ def enumerate_connected(n: int):
     """
     if not 1 <= n <= MAX_BUILTIN_ORDER:
         raise ValueError(f"built-in enumeration covers 1..{MAX_BUILTIN_ORDER}")
-    if n <= _CACHED_LEVELS:
-        _ensure_level(n)
-        rows_of_level = _levels[n - 1]
-    else:
-        _ensure_level(_CACHED_LEVELS)
-        rows_of_level = _level(_levels[_CACHED_LEVELS - 1])
-    for rows in rows_of_level:
+    top = n == MAX_BUILTIN_ORDER  # streamed, not cached
+    for rows in _level(_census_rows(n - 1)) if top else _census_rows(n):
         yield Graph._trusted(n, tuple(rows))
 
 
@@ -338,19 +331,17 @@ def verify_bound(graphs, spec: BoundSpec, workers: int = 1,
         n = g.n
         bound = spec.limit(n)
         report.checked_by_n[n] = report.checked_by_n.get(n, 0) + 1
+        g6 = encode_g6(g)
         if value > bound:
             status = "exception"
+            report.exceptions.append(Finding(g6, n, value, bound))
         elif spec.attains(n, value):
             status = "extremal"
-        else:
-            status = "ok"
-        g6 = encode_g6(g)
-        if status == "exception":
-            report.exceptions.append(Finding(g6, n, value, bound))
-        elif status == "extremal":
             report.extremal_total += 1
             if len(report.extremal) < _EXTREMAL_CAP:
                 report.extremal.append(Finding(g6, n, value, bound))
+        else:
+            status = "ok"
         if record_sink is not None:
             record_sink({"g6": g6, "n": n, "iota": value, "bound": bound,
                          "raw_bound": spec.raw_bound(n), "status": status})
@@ -377,7 +368,7 @@ def _confirms(g: Graph, family: PatternFamily, value: int) -> bool:
 
 
 def default_known_exceptions(family: PatternFamily, numerator: int,
-                             denominator: int) -> tuple[bytes, ...]:
+                             denominator: int) -> tuple[str, ...]:
     """Published exceptional graphs for the classical bounds this tool can
     reproduce; empty for anything unrecognized.  The ratio is read in lowest
     terms, so 2/10 is 1/5."""

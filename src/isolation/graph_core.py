@@ -479,9 +479,9 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     return _canonical_search(g.n, g.adj)[2]
 
 
-def canonical_form(g: Graph) -> bytes:
-    """Labeling-invariant key: the graph6 encoding of a canonical relabeling.
+def canonical_form(g: Graph) -> str:
+    """Labeling-invariant key: the graph6 text of a canonical relabeling.
 
     Equal outputs hold exactly for isomorphic graphs.
     """
-    return _pack_g6(g.n, _canonical_search(g.n, g.adj)[0]).encode("ascii")
+    return _pack_g6(g.n, _canonical_search(g.n, g.adj)[0])

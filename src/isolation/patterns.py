@@ -64,7 +64,7 @@ class PatternFamily:
     kind: str
     k: int = 0
     pattern: Graph | None = field(default=None, compare=False)
-    pattern_key: bytes = b""
+    pattern_key: str = ""
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -102,7 +102,7 @@ class PatternFamily:
             if f == self:
                 return name
         if self.kind == CUSTOM_KIND:
-            return f"custom:{self.pattern_key.decode()}"
+            return f"custom:{self.pattern_key}"
         return f"{'k' if self.kind == CLIQUE_KIND else self.kind}:{self.k}"
 
 

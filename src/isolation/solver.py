@@ -231,17 +231,16 @@ def _solve_hitting(sets: list[int], n: int, lower: int,
                 if common:
                     best, best_size = chosen | common & -common, size + 1
             return
-        # one pass: a packing lower bound over selectable vertices (which also
-        # detects closures no longer hittable), the selectable vertices, and
-        # the fail-first pick, the closure with the fewest selectable vertices
+        # one pass: a packing lower bound over selectable vertices, the
+        # selectable vertices, and the fail-first pick, the closure with the
+        # fewest selectable vertices
         packing = 0
         used = 0
         reach = 0
         pick, pick_count = 0, n + 1
         for s in compress(sets, _select(uncovered)):
+            # nonempty, or the parent's pick had more selectable vertices than s
             eff = s & ~banned
-            if not eff:
-                return
             if not eff & used:
                 packing += 1
                 used |= eff

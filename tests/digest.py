@@ -73,7 +73,7 @@ def pinned_graphs(levels):
                                book_graph(3), cycle_graph(5), path_graph(1)])
     keys = [key for level in levels
             for key in sorted(canonical_form(g) for g in level)]
-    return [decode_g6(key.decode()) for key in keys] + [isolated]
+    return [decode_g6(key) for key in keys] + [isolated]
 
 
 def solve_digests(graphs):
@@ -131,7 +131,7 @@ def canonical_digest(graphs):
     """Digest of the canonical form of each graph."""
     h = hashlib.sha256()
     for g in graphs:
-        h.update(canonical_form(g) + b"\n")
+        h.update((canonical_form(g) + "\n").encode())
     return h.hexdigest()
 
 

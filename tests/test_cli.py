@@ -1,3 +1,4 @@
+import doctest
 import hashlib
 import io
 import json
@@ -168,6 +169,14 @@ def test_enumerate_counts(capsys):
     lines = out.strip().splitlines()
     assert code == 0 and len(lines) == 6
     assert all(decode_g6(line).n == 4 for line in lines)
+
+
+def test_enumerate_json_lines(capsys):
+    code, out, _ = run(capsys, ["enumerate", "--n", "3", "--format", "json-lines"])
+    records = json_lines(out)
+    assert code == 0 and len(records) == 2
+    assert sorted(r["g6"] for r in records) == ["Bo", "Bw"]
+    assert all(r["n"] == 3 for r in records)
 
 
 def test_enumerate_out_of_range(capsys):
@@ -379,6 +388,11 @@ def test_n5_on_plain_graph(capsys, monkeypatch):
     assert rec["ok"] is True and rec["size"] <= rec["budget"]
 
 
+def test_n5_disconnected_graph_is_violation(capsys, monkeypatch):
+    code, out, _ = run(capsys, ["n5"], stdin="C?\n", monkeypatch=monkeypatch)
+    assert code == 1 and json_lines(out)[0]["error"] == "disconnected-graph"
+
+
 def test_n5_exceptional_graph_is_violation(capsys, monkeypatch):
     code, out, _ = run(capsys, ["n5"], stdin="C~\n", monkeypatch=monkeypatch)
     rec = json_lines(out)[0]
@@ -418,6 +432,23 @@ def test_unknown_flag_is_usage_error(capsys):
 def test_help_exits_zero(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 0 and out.startswith("usage: isolation") and err == ""
+
+
+@pytest.mark.parametrize("argv, stdin, message", [
+    (["bound", "--ratio", "x", "--enumerate", "3"], None, "--ratio expects p/q"),
+    (["certify", "--set", "a"], "C~\n", "--set expects comma-separated"),
+    (["bound", "--ratio", "1/5", "--enumerate", "0"], None, "--enumerate must be"),
+    (["solve", "--family", "foo:3"], "C~\n", "--family: unknown pattern family"),
+    (["solve", "--family", "custom:?"], "C~\n", "--family: custom family needs"),
+    (["construct", "--name", "complete:0"], None, "--name: bad parameters"),
+    (["solve"], "~~??????\n", "-:1: graph order beyond supported range"),
+    (["solve"], "~?O@\n", "-:1: graph order 1025 exceeds 1024"),
+])
+def test_bad_values_are_one_line_usage_errors(capsys, monkeypatch, argv, stdin,
+                                               message):
+    code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
 
 
 def test_missing_input_file(capsys):
@@ -494,6 +525,13 @@ def readme_commands():
             if re.match(r"(echo .*\| *)?isolation ", command):
                 yield pytest.param(command.strip(), note.strip() or None,
                                    id=re.sub(r"\W+", "-", command).strip("-"))
+
+
+def test_readme_tour_passes_doctest():
+    # the >>> examples of the library tour, as `python -m doctest README.md`
+    # runs them
+    result = doctest.testfile(str(README), module_relative=False)
+    assert result.attempted > 0 and result.failed == 0
 
 
 @pytest.mark.parametrize("command,note", readme_commands())

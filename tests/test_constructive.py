@@ -421,9 +421,11 @@ def test_fallback_pivot_is_needed():
 # block_composition(rng, (2, 10)) draws followed by 500
 # random_connected_graph(rng, n, p) draws (n from 10, 12, 14, 16, 18, 20, 24;
 # p uniform in [0.05, 0.25]) for each rng = Random(seed), seed 0..299, in the
-# order found; all 209 are block compositions.  The digest pins the set and
-# the trace of each: a change to the candidate order that alters either
-# changes it.
+# order found; all 209 are block compositions.  Each reaches cut:fallback
+# through the anchor rule at maximum degree 3 (``_pivot_candidates``):
+# without that rule all 209 certify through cut:anchor.  The digest pins the
+# set and the trace of each: a change to the candidate order that alters
+# either changes it.
 FALLBACK_CUT_DIGEST = "83177c65d278dafefe83a003a7710896528050090f5b38b0b583fb1b0ddf754a"
 
 

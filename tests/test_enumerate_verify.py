@@ -151,8 +151,7 @@ def test_level_without_the_degree_bound_yields_the_same_children(monkeypatch):
     # order <= 6 gives the same children in the same order without it
     import isolation.enumerate_verify as ev
 
-    ev._ensure_level(6)
-    parents = [p for level in ev._levels[:6] for p in level]
+    parents = [p for n in range(1, 7) for p in ev._census_rows(n)]
     bounded = [list(ev._level([p])) for p in parents]
     unbounded = ev._orbit_least_masks
     monkeypatch.setattr(ev, "_orbit_least_masks",
@@ -393,3 +392,6 @@ def test_random_connected_graph_contract():
         assert g.n == n and is_connected(g)
     assert random_connected_graph(random.Random(9), 12) == \
         random_connected_graph(random.Random(9), 12)
+    for n in (0, 1025):  # the order is checked before any edge is drawn
+        with pytest.raises(ValueError):
+            random_connected_graph(rng, n)

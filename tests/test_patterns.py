@@ -363,6 +363,10 @@ def test_named_constructor_validation():
         circulant_graph(9, (5,))
     with pytest.raises(ValueError):
         circulant_graph(9, ())
+    with pytest.raises(ValueError):
+        circulant_graph(0, [1])
+    with pytest.raises(ValueError):
+        book_graph(0)
 
 
 def test_make_named_specs():

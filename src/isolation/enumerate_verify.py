@@ -47,19 +47,7 @@ from .graph_core import (
     is_connected,
     mask_of,
 )
-from .patterns import (
-    ANY_CYCLE,
-    DIAMOND,
-    K1,
-    K2,
-    P3,
-    PatternFamily,
-    complete_graph,
-    cycle_graph,
-    diamond_graph,
-    path_graph,
-    y_graph,
-)
+from .patterns import PatternFamily, make_named
 from .solver import iota_exact, is_isolating
 
 MAX_BUILTIN_ORDER = 9
@@ -200,8 +188,7 @@ def enumerate_connected(n: int):
     Algorithms 26, 1998) from the order ``n - 1`` census: a class is reached
     from the parent left by deleting its canonical non-cut vertex, through
     one attachment set per parent automorphism orbit.  Orders up to 8 are
-    cached after the first call; ``n = 9`` streams its 261,080 classes in
-    about 8 s on 2 vCPUs once order 8 is cached.
+    cached after the first call; ``n = 9`` streams its 261,080 classes.
     """
     if not 1 <= n <= MAX_BUILTIN_ORDER:
         raise ValueError(f"built-in enumeration covers 1..{MAX_BUILTIN_ORDER}")
@@ -367,33 +354,31 @@ def _confirms(g: Graph, family: PatternFamily, value: int) -> bool:
     return not some_isolates(value - 1) and some_isolates(value)
 
 
+# The published exceptions of each bound, keyed by family label and ratio in
+# lowest terms, as ``make_named`` specs (``isolation construct --name``).
+# The graphs K_1 and K_2 are outside the K1 and K2 bounds by hypothesis:
+# n/2 needs no isolated vertex, and K_1 is one; n/3 needs order 3 or more.
+_KNOWN_EXCEPTIONS = {
+    ("diamond", 1, 5): ("diamond", "complete:4", "y"),
+    ("k1", 1, 2): ("complete:1",),
+    ("k2", 1, 3): ("cycle:5", "complete:2"),
+    ("anycycle", 1, 4): ("complete:3",),
+    ("p3", 2, 7): ("path:3", "complete:3", "cycle:6"),
+}
+
+
 def default_known_exceptions(family: PatternFamily, numerator: int,
                              denominator: int) -> tuple[str, ...]:
     """Published exceptional graphs for the classical bounds this tool can
     reproduce; empty for anything unrecognized.  The ratio is read in lowest
     terms, so 2/10 is 1/5."""
     d = gcd(numerator, denominator) or 1
-    ratio = (numerator // d, denominator // d)
-    if family == DIAMOND and ratio == (1, 5):
-        return (canonical_form(diamond_graph()),
-                canonical_form(complete_graph(4)),
-                canonical_form(y_graph()))
-    # the graphs K_1 and K_2 are outside the K1 and K2 bounds by hypothesis:
-    # n/2 needs no isolated vertex, and K_1 is one; n/3 needs order 3 or more
-    if family == K1 and ratio == (1, 2):
-        return (canonical_form(complete_graph(1)),)
-    if family == K2 and ratio == (1, 3):
-        return (canonical_form(cycle_graph(5)), canonical_form(complete_graph(2)))
-    # K_k for k >= 3: the K1 and K2 tables are the ones above
-    if family.kind == "clique" and family.k >= 3 and ratio == (1, family.k + 1):
-        return (canonical_form(complete_graph(family.k)),)
-    if family == ANY_CYCLE and ratio == (1, 4):
-        return (canonical_form(complete_graph(3)),)
-    if family == P3 and ratio == (2, 7):
-        return (canonical_form(path_graph(3)),
-                canonical_form(complete_graph(3)),
-                canonical_form(cycle_graph(6)))
-    return ()
+    p, q = numerator // d, denominator // d
+    specs = _KNOWN_EXCEPTIONS.get((family.label(), p, q), ())
+    # K_k for k >= 3 at 1/(k+1); K1 and K2 are rows of the table
+    if family.kind == "clique" and family.k >= 3 and (p, q) == (1, family.k + 1):
+        specs = (f"complete:{family.k}",)
+    return tuple(canonical_form(make_named(spec)) for spec in specs)
 
 
 # --- random graphs ---------------------------------------------------------

@@ -30,6 +30,9 @@ canonical-form search.
 permutation.
 ``attach_gadget`` hangs one gadget of the paper's attachment lemma on a
 vertex, through ``Graph.from_edges`` alone.
+``sharp_graph`` builds the paper's extremal family at order 5k, with
+isolation number k, and ``gadget_closures`` reads the closed neighborhoods
+of its gadgets from the edge list alone.
 ``networkx_graph`` hands a graph to networkx, an optional oracle that tests
 skip when it is missing.
 """
@@ -163,6 +166,57 @@ def attach_gadget(g, v, kind):
     label = (v, g.n, g.n + 1, g.n + 2)
     return Graph.from_edges(g.n + added, [*g.edges(),
                                           *((label[a], label[b]) for a, b in edges)])
+
+
+# the sharp gadgets as (edges, attached): a diamond on 0..3 (0 and 3 of
+# degree 2) or a K4 on 0..3, and the vertices its connector joins
+_DIAMOND_EDGES = ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))
+SHARP_GADGETS = {
+    "diamond-tip": (_DIAMOND_EDGES, (0,)),
+    "diamond-spine": (_DIAMOND_EDGES, (1,)),
+    "diamond-tips": (_DIAMOND_EDGES, (0, 3)),
+    "k4-one": (_DIAMOND_EDGES + ((0, 3),), (0,)),
+    "k4-two": (_DIAMOND_EDGES + ((0, 3),), (0, 1)),
+}
+
+
+def sharp_graph(rng, k, shapes=tuple(SHARP_GADGETS)):
+    """A connected graph on 5k vertices with diamond isolation number k, and
+    its k gadgets as vertex lists.  H is a random tree on the connectors
+    0..k-1 plus each other pair with a probability drawn from [0.1, 0.6];
+    each connector gets a gadget of a shape drawn from ``shapes`` on four
+    new vertices, and then every vertex is renamed at random.  The gadget
+    closures are disjoint, so no set of fewer than k vertices isolates,
+    and the k connectors do."""
+    edges = [(rng.randrange(v), v) for v in range(1, k)]
+    p = rng.uniform(0.1, 0.6)
+    edges += [e for e in combinations(range(k), 2) if rng.random() < p]
+    gadgets = []
+    for c in range(k):
+        gadget_edges, attached = SHARP_GADGETS[rng.choice(shapes)]
+        block = [k + 4 * c + i for i in range(4)]
+        edges += [(block[a], block[b]) for a, b in gadget_edges]
+        edges += [(c, block[a]) for a in attached]
+        gadgets.append(block)
+    perm = list(range(5 * k))
+    rng.shuffle(perm)
+    g = Graph.from_edges(5 * k, [(perm[u], perm[v]) for u, v in edges])
+    return g, [[perm[v] for v in block] for block in gadgets]
+
+
+def gadget_closures(g, gadgets):
+    """Each gadget's vertices and their neighbors, as a set, when the gadget
+    induces a diamond or a K4 (at least five of its six pairs are edges);
+    None for a gadget that does not."""
+    near = {v: {v} for v in range(g.n)}
+    for u, v in g.edges():
+        near[u].add(v)
+        near[v].add(u)
+    out = []
+    for block in gadgets:
+        inside = sum(v in near[u] for u, v in combinations(block, 2))
+        out.append(set().union(*(near[v] for v in block)) if inside >= 5 else None)
+    return out
 
 
 def count_automorphisms(g):

@@ -44,7 +44,14 @@ from isolation import (
     y_graph,
 )
 from isolation.patterns import P3, clique
-from oracles import GADGETS, attach_gadget, naive_iota
+from oracles import (
+    GADGETS,
+    SHARP_GADGETS,
+    attach_gadget,
+    gadget_closures,
+    naive_iota,
+    sharp_graph,
+)
 
 
 def report(line):
@@ -128,6 +135,44 @@ def test_criterion_4_extremal_witness():
     assert elapsed < 10
     report(f"PASS criterion 4: the 15-vertex witness is connected with "
            f"isolation number 3 = 15/5 ({elapsed:.2f}s)")
+
+
+def check_sharp(g, gadgets):
+    """The n/5 bound is met with equality: the k gadget closures are
+    disjoint (so no k - 1 vertices isolate), and the construction certifies
+    a set of k = n/5 vertices."""
+    k = len(gadgets)
+    closures = gadget_closures(g, gadgets)
+    assert all(closures)
+    assert sum(map(len, closures)) == len(set().union(*closures))
+    s, _ = isolating_set_n5(g)
+    assert s.bit_count() == k == budget(g.n)
+    assert is_isolating(g, DIAMOND, s)
+
+
+@pytest.mark.parametrize("shapes", [(shape,) for shape in SHARP_GADGETS]
+                         + [tuple(SHARP_GADGETS)],
+                         ids=lambda shapes: "mixed" if len(shapes) > 1 else shapes[0])
+def test_criterion_4_sharp_family(shapes):
+    # h15 is the k = 3 member of a family with isolation number n/5 at every
+    # n = 5k: one gadget per vertex of a random connected graph H
+    start = time.perf_counter()
+    rng = random.Random(f"sharp {shapes}")
+    for k in range(1, 41):
+        g, gadgets = sharp_graph(rng, k, shapes)
+        check_sharp(g, gadgets)
+        if g.n <= 60:
+            assert iota_exact(g, DIAMOND).value == k
+    report(f"PASS criterion 4: {', '.join(shapes)} gadgets on H of order "
+           f"1..40 give isolation number n/5, met by the construction "
+           f"({time.perf_counter() - start:.2f}s)")
+
+
+def test_criterion_4_sharp_family_at_order_1000():
+    start = time.perf_counter()
+    check_sharp(*sharp_graph(random.Random(200), 200))
+    report(f"PASS criterion 4: a 1000-vertex sharp graph takes 200 = n/5 "
+           f"vertices ({time.perf_counter() - start:.2f}s)")
 
 
 def test_criterion_5_constructive_soundness(census):

@@ -307,7 +307,7 @@ def test_bound_min_n_skips_low_orders(capsys):
     assert set(summary["checked_by_n"]) == {"3", "4", "5"}
 
 
-def test_bound_workers_env(capsys):
+def test_bound_pool_keeps_input_order(capsys):
     # the pool path: two workers, results still in input order
     code, out, _ = run(capsys, ["bound", "--family", "diamond",
                                 "--ratio", "1/5", "--enumerate", "4",

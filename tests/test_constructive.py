@@ -164,6 +164,21 @@ def test_a_graph_no_pivot_certifies_is_named_as_the_offender(monkeypatch, capsys
     assert record["offender"] == encode_g6(g)
 
 
+@pytest.mark.parametrize("chosen", [
+    pytest.param(lambda g: g.full_mask, id="over-budget"),
+    pytest.param(lambda g: 0, id="not-isolating"),
+])
+def test_a_set_that_fails_the_final_check_is_refused(monkeypatch, chosen):
+    # the budget and isolation check on the composed set is the last guard:
+    # a set over floor(n/5), or one that leaves a diamond, never escapes
+    g = extremal_witness_15()
+    monkeypatch.setattr("isolation.constructive._solve",
+                        lambda g, keep, depth: (chosen(g), []))
+    with pytest.raises(BudgetCertificationError) as exc:
+        isolating_set_n5(g)
+    assert exc.value.g6 == encode_g6(g)
+
+
 # --- soundness ----------------------------------------------------------------
 
 def certified(g):

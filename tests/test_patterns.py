@@ -31,6 +31,7 @@ from isolation import (
     enumerate_copies,
     extremal_witness_15,
     induced_subgraph,
+    iota_exact,
     is_connected,
     is_isolating,
     make_named,
@@ -48,6 +49,7 @@ from oracles import (
     contains_brute,
     copies_brute,
     disjoint_union,
+    naive_iota,
     networkx_graph,
 )
 
@@ -146,6 +148,16 @@ def test_family_validation():
     for text in ("k:1025", "k:2000", "star:1023", "book:1023", "book:99999999"):
         with pytest.raises(ValueError, match="more than 1024 vertices"):
             parse_family(text)
+
+
+def test_custom_patterns_are_capped_at_eight_vertices():
+    # P_8 is the largest path a custom family takes; in P_12 the closed
+    # neighborhood of vertex 3 leaves P_2 and P_7, so one vertex isolates
+    res = iota_exact(path_graph(12), custom(path_graph(8)))
+    assert (res.value, res.witness) == (1, 1 << 3)
+    assert naive_iota(path_graph(12), custom(path_graph(8))) == 1
+    with pytest.raises(ValueError, match="capped at 8 vertices"):
+        custom(path_graph(9))
 
 
 # --- containment ------------------------------------------------------------

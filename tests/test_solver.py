@@ -245,6 +245,11 @@ def test_triangle_closures_are_the_clique_closures(census):
 # perfbench/workloads.py: any-cycle instances that need a deep search.
 RINGS96 = Path(__file__).with_name("data") / "rings96.g6"
 RINGS96_VALUES = (9, 9, 9, 9, 10, 10, 9, 10)
+# Node counts pin what the search prunes on the one pinned input where it
+# matters: without element dominance each ring takes 38,525 (ring 6) to
+# 299,722 (ring 2) nodes, and with a hit-count bound of most + 1 ring 0
+# takes 23,689.
+RINGS96_NODES = (18821, 18472, 18781, 40887, 18964, 9124, 8441, 13505)
 
 
 @pytest.mark.parametrize("i", range(len(RINGS96_VALUES)))
@@ -254,6 +259,7 @@ def test_any_cycle_pinned_rings(i):
     assert res.value == RINGS96_VALUES[i]
     assert res.witness.bit_count() == res.value
     assert is_isolating(g, ANY_CYCLE, res.witness)
+    assert res.nodes_explored == RINGS96_NODES[i]
 
 
 @pytest.mark.parametrize("top", [
@@ -628,6 +634,17 @@ def test_small_family_is_settled_at_the_root():
     assert _solve_hitting(sorted(set(sets)), 10, 0) == (3, 14, 1)
     assert reference_hitting(sets, 10, settle_root=True) == (3, 14, 1)
     assert reference_hitting(sets, 10)[0] == 3
+
+
+def test_root_packing_runs_to_the_last_closure_that_fits():
+    # by size: {0,3} {1,3} {2,3} {1,4} {2,5} {4,5} {0,2,3,5} {0,2,4,5}; the
+    # packing takes {0,3} and {1,4}, then {2,5} exactly fills the two
+    # vertices left, so it proves 3; a packing that stops once the vertices
+    # left are no more than the size of the closure it just took proves
+    # only 2, and the search takes 5 nodes
+    sets = [9, 10, 12, 18, 36, 45, 48, 53]
+    assert _solve_hitting(sets, 6, 0) == (3, 28, 3)
+    assert reference_hitting(sets, 6)[0] == 3
 
 
 def test_every_search_gets_distinct_nonempty_masks(census, monkeypatch):
